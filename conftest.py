@@ -66,6 +66,10 @@ def pytest_configure(config: pytest.Config) -> None:
         "markers",
         "simlint: determinism-linter tests (fixture-driven rules, suppressions, baseline)",
     )
+    config.addinivalue_line(
+        "markers",
+        "fleet: lazy fleet-loop equivalence tests (lazy == forced-eager advancing)",
+    )
     try:
         from hypothesis import settings
     except ImportError:  # property tests skip themselves via importorskip

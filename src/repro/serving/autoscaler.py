@@ -834,6 +834,9 @@ class ElasticFleetSimulator(ClusterSimulator):
         super()._route_arrival(arrival, limits)
 
     def _control_tick(self, t: float, limits: SimulationLimits) -> None:
+        # The controller reads replica metrics: settle every open run.
+        for handle in self._advanceable_handles():
+            handle.settle(limits)
         self._update_lifecycle(t, limits)
         self._observe_latencies()
         utilization = self._utilization_since_last()

@@ -35,15 +35,32 @@ Routing policies:
   (Mitzenmacher's classic trick: nearly least-loaded quality at O(1) cost).
 
 Time model: replicas advance independently in stage-latency jumps.  Before
-a request is routed at arrival time ``t``, every replica simulates up to
+a request is routed at arrival time ``t``, every replica is brought to
 ``t``, so routers observe each replica's load as of (at worst one stage
-before) the arrival — the same staleness a real router tolerates.  The
-queue-depth telemetry samples on every routing event *and* on a fixed
-virtual-clock cadence (``sample_interval_s``), so idle, drain, and
+before) the arrival — the same staleness a real router tolerates.
+
+The fleet advances replicas *lazily*.  A replica in a steady decode run
+holds that run priced ahead to its own next event (first completion,
+paging landing, straggler-window edge, run cap) and is skipped at fleet
+events that do not concern it: mid-run its queue depth and token counts
+are constant, and its routing-view clock is the stage boundary advancing
+would have reached.  It is settled — the stages before the last fleet
+event committed, the rest dropped — when a request is routed to it, when
+its run's final stage starts before a fleet event, and before the fleet
+reads its metrics or harvests its work (elastic control ticks, crash
+detection).  Drain slices keep runs open like arrivals do; a whole
+drain drops an open run and re-drives the replica from its committed
+state, a point on the same trajectory.  Every statistic is
+bit-identical to advancing every replica at every event (pinned by
+``tests/serving/test_fleet_loop.py``).  Idle, split, memoized and
+observed replicas keep no open run and advance at every event.
+
+The queue-depth telemetry samples on every routing event *and* on a
+fixed virtual-clock cadence (``sample_interval_s``), so idle, drain, and
 post-burst periods show up in the time series; cadence samples taken
-between arrivals read each replica's state as of its last advancement
-(the router's own staleness), while drain-phase cadence samples advance
-the fleet in time slices and read true depths.
+between arrivals read each replica as of the last fleet event, while
+drain-phase cadence samples advance the fleet in time slices and read
+true depths.
 """
 
 from __future__ import annotations
@@ -51,7 +68,7 @@ from __future__ import annotations
 import enum
 import heapq
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -501,13 +518,24 @@ class _MonolithicReplica:
             + self.scheduler.paged_count
         )
 
-    def view(self) -> ReplicaView:
+    @property
+    def queue_depth(self) -> int:
+        """Requests routed here but not yet admitted to the batch."""
+        return len(self.inbox) + len(self.scheduler.waiting)
+
+    def view(
+        self, at_s: float | None = None, state: str = ReplicaState.ACTIVE.value
+    ) -> ReplicaView:
+        """The replica's load signals; ``at_s`` is the fleet instant the
+        replica was last advanced to (its clock then reads the stage
+        boundary advancing reached, see ``ServingEngine.clock_at``)."""
         return ReplicaView(
             index=self.index,
-            queue_depth=len(self.inbox) + len(self.scheduler.waiting),
+            queue_depth=self.queue_depth,
             outstanding_tokens=self.scheduler.outstanding_tokens + self.inbox.queued_tokens,
-            now_s=self.now_s,
+            now_s=self.now_s if at_s is None else self.engine.clock_at(at_s),
             kind=self.kind,
+            state=state,
             # Shared-prefix pool tokens occupy the same device KV as the
             # private reservations, so memory-pressure routing sees both
             # (zero whenever dedup is off).
@@ -567,6 +595,13 @@ class _MonolithicReplica:
     def advance_to(self, t: float, limits: SimulationLimits) -> None:
         self.engine.advance_to(t, limits)
 
+    @property
+    def lazy_until_s(self) -> float:
+        return self.engine.lazy_until_s
+
+    def close_run(self) -> None:
+        self.engine.close_run()
+
     def drain(self, limits: SimulationLimits) -> None:
         self.engine.drain(limits)
 
@@ -594,6 +629,9 @@ class _SplitReplica:
     """A two-partition split deployment behind the cluster router."""
 
     kind = "split"
+    #: The split pipeline keeps no open run: the fleet advances it at
+    #: every fleet event.
+    lazy_until_s = float("-inf")
 
     def __init__(
         self,
@@ -652,16 +690,26 @@ class _SplitReplica:
             + len(decode.running)
         )
 
-    def view(self) -> ReplicaView:
+    @property
+    def queue_depth(self) -> int:
+        """Requests routed here and not in either partition's batch."""
+        deployment = self.deployment
+        return (
+            len(self.inbox)
+            + len(deployment.prefill_engine.scheduler.waiting)
+            + len(deployment.transfers)
+            + len(deployment.decode_engine.scheduler.waiting)
+        )
+
+    def view(
+        self, at_s: float | None = None, state: str = ReplicaState.ACTIVE.value
+    ) -> ReplicaView:
         deployment = self.deployment
         prefill = deployment.prefill_engine.scheduler
         decode = deployment.decode_engine.scheduler
-        in_transfer = len(deployment.transfers)
         return ReplicaView(
             index=self.index,
-            queue_depth=(
-                len(self.inbox) + len(prefill.waiting) + in_transfer + len(decode.waiting)
-            ),
+            queue_depth=self.queue_depth,
             outstanding_tokens=(
                 self.inbox.queued_tokens
                 + prefill.outstanding_tokens
@@ -670,6 +718,7 @@ class _SplitReplica:
             ),
             now_s=self.now_s,
             kind=self.kind,
+            state=state,
         )
 
     def harvest_queued(self) -> list[Request]:
@@ -716,6 +765,9 @@ class _SplitReplica:
     def advance_to(self, t: float, limits: SimulationLimits) -> None:
         self.deployment.advance_to(t, limits)
 
+    def close_run(self) -> None:
+        pass
+
     def drain(self, limits: SimulationLimits) -> None:
         self.deployment.drain(limits)
 
@@ -748,6 +800,8 @@ class ManagedReplica:
             (None while healthy; reset never — the log keeps history).
         transitions: full ``(time_s, state)`` log, in order; every edge
             is validated against the legal lifecycle graph.
+        target_s: the instant the fleet last advanced the replica to —
+            possibly ahead of its committed clock (see :meth:`advance_to`).
     """
 
     def __init__(
@@ -772,6 +826,7 @@ class ManagedReplica:
         self.failed_at: float | None = None
         self.retired_at: float | None = None
         self.transitions: list[tuple[float, ReplicaState]] = [(provisioned_at, state)]
+        self.target_s = float("-inf")
 
     @property
     def index(self) -> int:
@@ -808,12 +863,47 @@ class ManagedReplica:
         elif state is ReplicaState.RETIRED:
             self.retired_at = t
 
+    def advance_to(self, t: float, limits: SimulationLimits) -> None:
+        """Advance the replica to fleet instant ``t`` — lazily.
+
+        A replica mid open run (see
+        :meth:`~repro.serving.engine.ServingEngine.advance_to`) whose
+        final stage starts at or after ``t`` is not touched: advancing it
+        would commit open-run stages and nothing else, so the fleet only
+        records ``t`` and :meth:`settle` commits up to it when the fleet
+        next changes or reads the replica.  Idle replicas, split
+        replicas, and replicas that cannot take the vectorized path have
+        no open run and advance at every call.
+        """
+        self.target_s = t
+        if t > self.replica.lazy_until_s:
+            self.replica.advance_to(t, limits)
+
+    def settle(self, limits: SimulationLimits) -> None:
+        """Commit the open run up to :attr:`target_s` and close it.
+
+        Afterwards the replica is exactly where advancing it at every
+        fleet event would have left it, with nothing priced ahead.
+        """
+        replica = self.replica
+        if replica.lazy_until_s != float("-inf"):
+            replica.advance_to(self.target_s, limits)
+            replica.close_run()
+
     def routing_view(self) -> ReplicaView:
-        """The router-facing view, stamped with the lifecycle state."""
-        return replace(self.replica.view(), state=self.state.value)
+        """The router-facing view, stamped with the lifecycle state.
+
+        Mid open run, queue depth and token counts are constant, and the
+        clock is the stage boundary advancing to :attr:`target_s` reaches.
+        """
+        return self.replica.view(self.target_s, self.state.value)
 
     def route(self, request: Request) -> None:
-        """Accept a routed request (ACTIVE replicas only)."""
+        """Accept a routed request (ACTIVE replicas only).
+
+        The fleet settles the replica first (:meth:`settle`): an open run
+        was priced without this request.
+        """
         if self.state is not ReplicaState.ACTIVE:
             raise SchedulingError(
                 f"replica {self.index} is {self.state.value}; "
@@ -1046,8 +1136,10 @@ class ClusterSimulator:
             request's KV private.
         sample_interval_s: virtual-clock cadence of the queue-depth (and,
             for elastic fleets, fleet-composition) telemetry.  Cadence
-            samples never advance the engines during the routing phase
-            (they read the same possibly-stale state routers see), and
+            samples never advance the engines during the routing phase:
+            they read each replica as of the last fleet event, exactly
+            as routers see it (a replica mid open run reports the
+            constant depth of its run, see the module docstring), and
             slice the drain phase so post-arrival queue decay is visible.
             None disables cadence sampling (routing-event samples only).
         faults: a :class:`~repro.serving.faults.FaultInjector` scheduling
@@ -1248,10 +1340,6 @@ class ClusterSimulator:
     # ------------------------------------------------------------------
     # fleet-shape hooks (the elastic controller overrides these)
     # ------------------------------------------------------------------
-    def _live_handles(self) -> list[ManagedReplica]:
-        """Handles still part of the fleet (everything but RETIRED)."""
-        return [h for h in self.handles if h.state is not ReplicaState.RETIRED]
-
     def _advanceable_handles(self) -> list[ManagedReplica]:
         """Handles whose engines advance with the fleet clock.
 
@@ -1312,7 +1400,7 @@ class ClusterSimulator:
         return t
 
     def _fleet_depths(self) -> tuple[int, ...]:
-        return tuple(handle.replica.view().queue_depth for handle in self.handles)
+        return tuple(handle.replica.queue_depth for handle in self.handles)
 
     def _emit_cadence_sample(self, t: float) -> None:
         depths = self._fleet_depths()
@@ -1448,6 +1536,7 @@ class ClusterSimulator:
         handle = self.handles[index]
         if handle.state in (ReplicaState.RETIRED, ReplicaState.FAILED):
             return
+        handle.settle(limits)
         handle.set_state(t, ReplicaState.FAILED)
         self._open_outages.append((index, crash_s))
         metrics = handle.replica.metrics
@@ -1577,13 +1666,13 @@ class ClusterSimulator:
             else:
                 self._lost_requests.append(request)
             return
-        for handle in candidates:
-            handle.replica.advance_to(self._capped(handle, t), limits)
+        self._advance(candidates, t, limits)
         views = [handle.routing_view() for handle in candidates]
         index = self.router.choose(views, request)
         chosen = next((h for h in candidates if h.index == index), None)
         if chosen is None:
             raise ConfigError(f"{self.router.name} routed to invalid replica {index}")
+        chosen.settle(limits)
         if cached >= 0:
             # A prefix-sharing victim's host copy covers only its private
             # KV — the shared span lived in the dead replica's pool — so
@@ -1727,10 +1816,16 @@ class ClusterSimulator:
         self._drain_fleet(limits)
         return self._report(self._samples)
 
+    def _advance(
+        self, handles: list[ManagedReplica], t: float, limits: SimulationLimits
+    ) -> None:
+        """Advance ``handles`` to fleet instant ``t`` (lazily, crash-capped)."""
+        for handle in handles:
+            handle.advance_to(self._capped(handle, t), limits)
+
     def _route_arrival(self, arrival: float, limits: SimulationLimits) -> None:
         """Advance the fleet to ``arrival`` and route the next request."""
-        for handle in self._advanceable_handles():
-            handle.replica.advance_to(self._capped(handle, arrival), limits)
+        self._advance(self._advanceable_handles(), arrival, limits)
         request = self.source.take(arrival)
         candidates = self._routable_handles()
         if not candidates:
@@ -1755,6 +1850,7 @@ class ClusterSimulator:
         chosen = next((h for h in candidates if h.index == index), None)
         if chosen is None:
             raise ConfigError(f"{self.router.name} routed to invalid replica {index}")
+        chosen.settle(limits)
         chosen.route(request)
         self._routed += 1
         self._samples.append(

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Callable, Protocol
 
 import numpy as np
 
-from repro.core.executor import StageExecutor, StageResult, StageWorkload
+from repro.core.executor import DecodeRunPricing, StageExecutor, StageResult, StageWorkload
 from repro.errors import CapacityError, ConfigError, SchedulingError
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
@@ -130,6 +130,22 @@ class StageEvent:
     measured: bool
     preempted: tuple[int, ...] = ()
     resumed: tuple[int, ...] = ()
+
+
+@dataclass(slots=True)
+class _SteadyRun:
+    """A priced steady decode run and how much of it is committed.
+
+    ``boundaries[k]`` is the clock after run stage ``k`` (``boundaries[0]``
+    the clock at pricing); stages ``1..n`` start strictly before the run's
+    threshold, and stages ``1..done`` are committed.
+    """
+
+    pricing: DecodeRunPricing
+    boundaries: np.ndarray
+    n: int
+    in_window: bool
+    done: int = 0
 
 
 class TransferFeed:
@@ -621,6 +637,12 @@ class ServingEngine:
         self.columnar = columnar
         self._steady_capable = hasattr(scheduler, "steady_run_threshold")
         self._last_latency_s = 0.0
+        #: The open run :meth:`advance_to` leaves priced ahead, if any.
+        self._open: _SteadyRun | None = None
+        #: Start of the open run's final stage (-inf with no open run):
+        #: ``advance_to(t)`` for any ``t`` up to this commits only stages
+        #: of the open run — no completion, admission or idle gap.
+        self.lazy_until_s = float("-inf")
         self.metrics = metrics if metrics is not None else MetricsCollector()
         self.label = label
         self.record_idle = record_idle
@@ -826,15 +848,27 @@ class ServingEngine:
     # the columnar steady-run fast path
     # ------------------------------------------------------------------
     def _attempt_steady_run(
-        self,
-        limits: SimulationLimits,
-        horizon_s: float | None = None,
-        sim_time_s: float | None = None,
+        self, limits: SimulationLimits, sim_time_s: float | None = None
     ) -> int:
         """Collapse a provably steady decode run into one vectorized commit.
 
         Returns the number of stages committed (0 = take the scalar
-        :meth:`step`).  A run happens only when nothing can observe or
+        :meth:`step`).  The run is priced by :meth:`_price_run` and
+        committed whole.
+        """
+        run = self._price_run(limits, sim_time_s)
+        if run is None:
+            return 0
+        self._commit_run(run, run.n)
+        return run.n
+
+    def _price_run(
+        self, limits: SimulationLimits, sim_time_s: float | None = None
+    ) -> _SteadyRun | None:
+        """Price a provably steady decode run without committing it.
+
+        Returns None when the next stage must take the scalar
+        :meth:`step`.  A run happens only when nothing can observe or
         perturb the intermediate stages — no observers, pricer, handoff,
         or record-gate override — and the scheduler proves admission is a
         no-op until a threshold instant.  Stage latencies, energies, the
@@ -842,8 +876,9 @@ class ServingEngine:
         stream all land bit-identical to stepping the same stages
         scalar-wise: the caps below guarantee a run never straddles the
         warm-up gate, the stage budget, the first in-batch completion, or
-        (via ``horizon_s`` / ``sim_time_s``) the driving loop's stopping
-        rules.
+        (via ``sim_time_s``) :meth:`run`'s simulated-time limit.  Any
+        prefix of the run's stages may be committed with
+        :meth:`_commit_run`; :meth:`_close_run` rewinds the rest.
         """
         if (
             not self.columnar
@@ -854,18 +889,21 @@ class ServingEngine:
             or self.observers
             or self.budget_spent(limits)
         ):
-            return 0
+            return None
         # Disqualify incapable executors before touching the scheduler:
         # memoized pricing quantizes compositions (price_decode_run would
         # return None anyway), and the threshold/min-remaining probes below
         # cost a table refresh — too much to pay on every scalar step.
         price_run = getattr(self.executor, "price_decode_run", None)
         if price_run is None or getattr(self.executor, "memoize", False):
-            return 0
+            return None
         scheduler = self.scheduler
         threshold = scheduler.steady_run_threshold()
-        if threshold is None:
-            return 0
+        now = self.now_s
+        if threshold is None or threshold <= now:
+            # A threshold at or before the clock (a request routed here
+            # is already waiting to be admitted) admits no stage at all.
+            return None
         profile = self.fault_profile
         if profile is not None:
             # Inside a straggler window every stage latency is scaled —
@@ -873,9 +911,9 @@ class ServingEngine:
             # path stands down.  Outside a window, cap the run at the
             # next window edge; a quiescent profile (no windows) costs
             # exactly these two calls and disarms nothing.
-            if profile.scale_at(self.now_s) != 1.0:
-                return 0
-            threshold = min(threshold, profile.next_change_s(self.now_s))
+            if profile.scale_at(now) != 1.0:
+                return None
+            threshold = min(threshold, profile.next_change_s(now))
         cap = min(scheduler.steady_min_remaining(), _RUN_CAP)
         stages = self.stages
         warmup = limits.warmup_stages
@@ -887,9 +925,6 @@ class ServingEngine:
                 limits.max_stages - self.measured,
                 warmup + limits.max_stages - stages,
             )
-        now = self.now_s
-        if horizon_s is not None:
-            threshold = min(threshold, horizon_s)
         if threshold != float("inf") and self._last_latency_s > 0.0:
             # Cheap pre-truncation so a near-threshold attempt does not
             # price stages that cannot fit (any cap is exact — this only
@@ -897,10 +932,10 @@ class ServingEngine:
             estimate = int((threshold - now) / self._last_latency_s) + 2
             cap = min(cap, estimate)
         if cap < 2:
-            return 0
+            return None
         pricing = price_run(scheduler.steady_context_base(), cap)
         if pricing is None:
-            return 0
+            return None
         # boundaries[k] is the clock after stage k; the seeded cumulative
         # sum reproduces the scalar `now_s += latency` chain bit for bit.
         boundaries = np.concatenate(([now], pricing.latencies)).cumsum()
@@ -916,29 +951,40 @@ class ServingEngine:
             n = min(n, int(np.searchsorted(boundaries[1:], sim_time_s, side="left")) + 1)
         if n < 2:
             self.executor.rewind_decode_run(pricing, 0)
-            return 0
-        if n < cap:
-            self.executor.rewind_decode_run(pricing, n)
-        final_now = float(boundaries[n])
-        decode_tokens = len(scheduler.running)
-        finished = scheduler.commit_steady_run(n, final_now)
-        self.stages += n
-        self._last_latency_s = float(pricing.latencies[n - 1])
+            return None
         # No straddling: the whole run is measured, or none of it is.
-        in_window = stages >= warmup
+        return _SteadyRun(pricing, boundaries, n, in_window=stages >= warmup)
+
+    def _commit_run(self, run: _SteadyRun, k: int) -> None:
+        """Commit the run's stages up to stage ``k`` (1-based, ``k <= run.n``).
+
+        Commits may come in several pieces; each lands exactly where
+        stepping the same stages scalar-wise would.  Committing stage
+        ``run.n`` closes the run.
+        """
+        lo = run.done
+        m = k - lo
+        pricing = run.pricing
+        scheduler = self.scheduler
+        decode_tokens = len(scheduler.running)
+        finished = scheduler.commit_steady_run(m, float(run.boundaries[k]))
+        run.done = k
+        self.stages += m
+        self._last_latency_s = float(pricing.latencies[k - 1])
+        in_window = run.in_window
         if in_window:
-            self.measured += n
-            truncate = n < cap
+            self.measured += m
+            whole = m == pricing.n_stages
             components = [
-                (_DRAM_KEYS[category], joules[:n] if truncate else joules)
+                (_DRAM_KEYS[category], joules if whole else joules[lo:k])
                 for category, joules in zip(pricing.categories, pricing.dram, strict=True)
             ]
             components += [
-                (_COMPUTE_KEYS[category], joules[:n] if truncate else joules)
+                (_COMPUTE_KEYS[category], joules if whole else joules[lo:k])
                 for category, joules in zip(pricing.categories, pricing.compute, strict=True)
             ]
             self.metrics.record_decode_run(
-                latencies=pricing.latencies[:n] if truncate else pricing.latencies,
+                latencies=pricing.latencies if whole else pricing.latencies[lo:k],
                 decode_tokens=decode_tokens,
                 energy_components=components,
                 comm_energy_per_stage_j=pricing.comm_energy_j,
@@ -951,7 +997,60 @@ class ServingEngine:
             if in_window:
                 self.metrics.record_completion(request.e2e_s, tenant=request.tenant)
                 self.completions += 1
-        return n
+        if k == run.n:
+            self._close_run(run)
+
+    def _close_run(self, run: _SteadyRun) -> None:
+        """Rewind the gating RNG to the run's last committed stage; drop it."""
+        self.executor.rewind_decode_run(run.pricing, run.done)
+        if run is self._open:
+            self._open = None
+            self.lazy_until_s = float("-inf")
+
+    # ------------------------------------------------------------------
+    # open runs (lazy fleet advancing)
+    # ------------------------------------------------------------------
+    def _advance_open_run(self, t: float, limits: SimulationLimits) -> bool:
+        """Commit the steady stages that start before ``t`` from an open run.
+
+        Opens a run priced to the engine's *own* threshold when none is
+        open, so stages past ``t`` stay priced for later calls.  False
+        when no steady run applies (take the scalar :meth:`step`).
+        """
+        run = self._open
+        if run is None:
+            run = self._price_run(limits)
+            if run is None:
+                return False
+            self._open = run
+            self.lazy_until_s = float(run.boundaries[run.n - 1])
+        k = int(np.searchsorted(run.boundaries[:-1], t, side="left"))
+        self._commit_run(run, min(k, run.n))
+        return True
+
+    def close_run(self) -> None:
+        """Drop the open run's uncommitted stages (see :meth:`advance_to`).
+
+        Called before anything changes what the run assumed, such as a
+        request routed here or a parked request adopted.  The committed
+        state is a point on the trajectory the dropped stages would have
+        continued, so nothing simulated is lost; the stages are re-priced
+        if they are reached.
+        """
+        if self._open is not None:
+            self._close_run(self._open)
+
+    def clock_at(self, t: float) -> float:
+        """The clock :meth:`advance_to` ``(t)`` would reach, committing nothing.
+
+        Exact for ``t <= lazy_until_s`` (the open run's stage boundary at
+        or after ``t``); without an open run, the current clock.
+        """
+        run = self._open
+        if run is None:
+            return self.now_s
+        k = max(int(np.searchsorted(run.boundaries[:-1], t, side="left")), run.done)
+        return float(run.boundaries[k])
 
     # ------------------------------------------------------------------
     # driving loops
@@ -959,9 +1058,7 @@ class ServingEngine:
     def run(self, limits: SimulationLimits) -> ServingReport:
         """Run to the limits (or source exhaustion) and return the report."""
         while not self.budget_spent(limits):
-            if self._attempt_steady_run(
-                limits, sim_time_s=limits.max_sim_time_s
-            ) or self.step(limits):
+            if self._attempt_steady_run(limits, limits.max_sim_time_s) or self.step(limits):
                 if self.stages > limits.warmup_stages:
                     if (
                         limits.target_completions is not None
@@ -987,9 +1084,20 @@ class ServingEngine:
         )
 
     def advance_to(self, t: float, limits: SimulationLimits) -> None:
-        """Simulate until the clock reaches ``t`` (stages may overshoot)."""
+        """Simulate until the clock reaches ``t`` (stages may overshoot).
+
+        A steady decode run met on the way is priced to the engine's own
+        threshold (first completion, paging landing, straggler-window
+        edge, run cap), not to ``t``: the stages starting before ``t`` are
+        committed and the rest stay *open* for the next call.  While
+        ``t <= lazy_until_s`` a call commits open-run stages only, so a
+        fleet may skip calls entirely and make one later call to the
+        latest instant — the result is the same as advancing at every
+        instant.  :meth:`clock_at` reads the clock such a call would
+        reach, and :meth:`close_run` drops the open stages.
+        """
         while self.now_s < t:
-            if self._attempt_steady_run(limits, horizon_s=t) or self.step(limits):
+            if self._advance_open_run(t, limits) or self.step(limits):
                 continue
             # Idle (or out of stage budget): jump to the next queued
             # arrival, or to t if the source is quiet until then.
@@ -1010,7 +1118,7 @@ class ServingEngine:
     def drain(self, limits: SimulationLimits) -> None:
         """Finish everything queued here (until the stage budget runs out)."""
         while not self.budget_spent(limits):
-            if self._attempt_steady_run(limits) or self.step(limits):
+            if self._advance_open_run(float("inf"), limits) or self.step(limits):
                 continue
             next_event = self._next_event_s()
             if next_event == float("inf"):
@@ -1026,9 +1134,11 @@ class ServingEngine:
         call would, stopping early only at the slice boundary.  The
         cluster's cadence-sampled fleet drain depends on that
         equivalence.  An arrival beyond ``t`` is left for a later slice.
+        Like :meth:`advance_to`, it leaves a steady run's stages past ``t``
+        open for the next slice.
         """
         while self.now_s < t and not self.budget_spent(limits):
-            if self._attempt_steady_run(limits, horizon_s=t) or self.step(limits):
+            if self._advance_open_run(t, limits) or self.step(limits):
                 continue
             next_event = self._next_event_s()
             if next_event == float("inf") or next_event > t:
