@@ -18,6 +18,9 @@ direction, default 2x) fails the gate, because normalized values from
 machines *that* different measure the calibration loop's fidelity more
 than the code under test — flag the mismatch instead of silently
 normalizing it away.  Pass 0 to disable the check.
+
+The ``src_repro_lines`` code-size record is printed baseline -> new when
+either file carries it; it never fails the gate.
 """
 
 from __future__ import annotations
@@ -75,6 +78,11 @@ def compare(
                 f"{max_calibration_drift:.2f}x — normalized values are not "
                 "comparable across machines this different"
             )
+    if "src_repro_lines" in baseline or "src_repro_lines" in fresh:
+        print(
+            f"src/repro lines: {baseline.get('src_repro_lines', '?')} -> "
+            f"{fresh.get('src_repro_lines', '?')} (ungated)"
+        )
     print(f"{'benchmark':26s} {'baseline':>14s} {'new':>14s} {'speedup':>8s}")
     for name in shared:
         old = baseline["benchmarks"][name]

@@ -17,9 +17,6 @@ directly and records the repo's perf trajectory in a repo-root
 * ``engine_grid`` — geometric-mean stages/second over the smoke cells of
   the parameter-grid harness (``grid.py``: batch size x EventClock bucket
   width x telemetry cadence x fleet size);
-* ``incremental_decode`` — stages/second through
-  :class:`~repro.serving.engine.IncrementalStagePricer` on a steady
-  decode run (the delta fast path);
 * ``autoscaled_cluster`` — end-to-end stages/second of an elastic fleet
   under the queue-depth policy (the control-plane hot path: routing,
   control ticks, lifecycle, cadence telemetry, engine stepping);
@@ -38,7 +35,11 @@ directly and records the repo's perf trajectory in a repo-root
   pricing);
 * ``fig13_sweep`` / ``fig13_sweep_fast`` — end-to-end Fig. 13 sweep
   wall-clock on a reduced grid, single worker, in exact mode and with
-  the memoized+incremental fast path.
+  memoized pricing.
+
+Next to the timings, the payload records ``src_repro_lines`` — the total
+``*.py`` line count under ``src/repro`` — so code size is tracked on the
+same trajectory as speed (``compare.py`` prints it, ungated).
 
 Because CI hardware varies, every result also carries a *normalized*
 value: the raw metric divided by a fixed-work calibration score measured
@@ -52,6 +53,7 @@ and ``python benchmarks/perf/compare.py`` to diff two such files.
 from __future__ import annotations
 
 import time
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -61,7 +63,6 @@ from repro.core.system import duplex_system
 from repro.experiments import fig13
 from repro.models.config import glam, mixtral
 from repro.serving.autoscaler import ElasticFleetSimulator, QueueDepthPolicy
-from repro.serving.engine import IncrementalStagePricer
 from repro.serving.generator import WorkloadSpec
 from repro.serving.simulator import ServingSimulator, SimulationLimits
 
@@ -70,6 +71,16 @@ SCHEMA_VERSION = 1
 #: Reduced Fig. 13 grid: 3 systems x 3 QPS points, single worker.
 FIG13_QPS = (6.0, 10.0, 14.0)
 FIG13_LIMITS = dict(max_stages=400, warmup_stages=40)
+
+#: The library source tree whose size the payload tracks.
+SRC_REPRO = Path(__file__).resolve().parents[2] / "src" / "repro"
+
+
+def src_repro_lines() -> int:
+    """Total line count of every ``*.py`` file under ``src/repro``."""
+    return sum(
+        len(path.read_bytes().splitlines()) for path in sorted(SRC_REPRO.rglob("*.py"))
+    )
 
 
 def calibration_score(loops: int = 40) -> float:
@@ -169,22 +180,6 @@ def bench_mixed(stages: int, repeats: int) -> float:
 def bench_moe_heavy(stages: int, repeats: int) -> float:
     # GLaM's 64 experts: expert dispatch dominates every decode stage.
     return _engine_hot_loop_rate(glam, stages, repeats)
-
-
-def bench_incremental_decode(iterations: int, repeats: int) -> float:
-    model = mixtral()
-    executor = StageExecutor(
-        duplex_system(model, co_processing=True, expert_tensor_parallel=True), model
-    )
-    base = np.random.default_rng(2).integers(100, 4000, size=64)
-
-    def run() -> int:
-        pricer = IncrementalStagePricer(executor)
-        for step in range(iterations):
-            pricer.price(StageWorkload.trusted(base + step))
-        return iterations
-
-    return _best_rate(run, repeats)
 
 
 def bench_autoscaled_cluster(requests: int, repeats: int) -> float:
@@ -406,7 +401,6 @@ def bench_fig13_sweep(repeats: int, fast: bool) -> float:
             limits=limits,
             workers=1,
             memoize=fast,
-            incremental=fast,
         )
 
     run()  # warm imports and caches outside the timed window
@@ -442,7 +436,6 @@ def run_suite(scale: float = 1.0, repeats: int = 3) -> dict:
     record("mixed", bench_mixed(iters(12000), repeats), "stages/s")
     record("moe_heavy", bench_moe_heavy(iters(6000), repeats), "stages/s")
     record("engine_grid", bench_engine_grid(iters(160), repeats), "stages/s")
-    record("incremental_decode", bench_incremental_decode(iters(3000), repeats), "stages/s")
     record("autoscaled_cluster", bench_autoscaled_cluster(iters(400), repeats), "stages/s")
     record("sharded_fleet", bench_sharded_fleet(iters(400), repeats), "stages/s")
     record("paged_serving", bench_paged_serving(iters(80), repeats), "stages/s")
@@ -457,5 +450,6 @@ def run_suite(scale: float = 1.0, repeats: int = 3) -> dict:
     return {
         "schema": SCHEMA_VERSION,
         "calibration_ops_per_s": calibration,
+        "src_repro_lines": src_repro_lines(),
         "benchmarks": results,
     }

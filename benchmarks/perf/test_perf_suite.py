@@ -21,12 +21,13 @@ def test_suite_smoke_produces_all_microbenchmarks():
     payload = run_suite(scale=0.02, repeats=1)
     assert payload["schema"] == SCHEMA_VERSION
     assert payload["calibration_ops_per_s"] > 0
+    lines = payload["src_repro_lines"]
+    assert isinstance(lines, int) and lines > 0
     for name in (
         "pure_decode",
         "mixed",
         "moe_heavy",
         "engine_grid",
-        "incremental_decode",
         "autoscaled_cluster",
         "sharded_fleet",
         "paged_serving",
@@ -74,6 +75,15 @@ def test_gate_fails_beyond_tolerance(capsys):
     failures = compare(_payload(1000.0), _payload(700.0), max_regression=0.20, raw=False)
     assert len(failures) == 1
     capsys.readouterr()
+
+
+def test_line_count_is_printed_but_ungated(capsys):
+    base = _payload(1000.0)
+    fresh = _payload(1000.0)
+    base["src_repro_lines"] = 100
+    fresh["src_repro_lines"] = 900
+    assert compare(base, fresh, max_regression=0.20, raw=False) == []
+    assert "100 -> 900" in capsys.readouterr().out
 
 
 def test_gate_handles_lower_is_better(capsys):

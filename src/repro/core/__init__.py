@@ -27,8 +27,6 @@ from repro.core.executor import (
     StageExecutor,
     StageResult,
     StageWorkload,
-    install_shared_pricing_cache,
-    snapshot_shared_pricing_cache,
 )
 from repro.core.system import SystemConfig, SystemKind, default_topology
 
@@ -50,7 +48,5 @@ __all__ = [
     "default_topology",
     "duplex_device",
     "gpu_device",
-    "install_shared_pricing_cache",
     "pim_only_device",
-    "snapshot_shared_pricing_cache",
 ]

@@ -56,11 +56,6 @@ class ExpertAssignment:
         """Layer completion time: both units run concurrently."""
         return max(self.xpu_time_s, self.pim_time_s)
 
-    @property
-    def serial_time_s(self) -> float:
-        """What the same work would cost with no overlap (base Duplex)."""
-        return self.xpu_time_s + self.pim_time_s
-
 
 @dataclass
 class ExpertTimeLookup:

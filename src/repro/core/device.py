@@ -15,7 +15,6 @@ from repro.hardware.processor import ProcessingUnit
 from repro.hardware.specs import (
     DUPLEX_STACKS,
     bank_pim_unit,
-    bankgroup_pim_unit,
     h100_xpu,
     logic_pim_unit,
 )
@@ -77,13 +76,6 @@ def duplex_device(stacks: int = DUPLEX_STACKS) -> DeviceModel:
 def bank_pim_duplex_device(stacks: int = DUPLEX_STACKS) -> DeviceModel:
     """The Section VII-C comparison point: xPU plus in-bank PIM."""
     return DeviceModel(name="Bank-PIM", xpu=h100_xpu(stacks=stacks), pim=bank_pim_unit(stacks=stacks))
-
-
-def bankgroup_pim_duplex_device(stacks: int = DUPLEX_STACKS) -> DeviceModel:
-    """xPU plus BankGroup-PIM (Fig. 8's middle column)."""
-    return DeviceModel(
-        name="BankGroup-PIM", xpu=h100_xpu(stacks=stacks), pim=bankgroup_pim_unit(stacks=stacks)
-    )
 
 
 def pim_only_device(stacks: int = DUPLEX_STACKS) -> DeviceModel:

@@ -33,7 +33,6 @@ Accounting conventions:
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -243,11 +242,6 @@ class SharedPricingCache:
     replicas do exactly that: N replicas of one spec re-derive each bucketed
     price once instead of N times.  Hit/miss counters stay per executor;
     only the store is shared.
-
-    The cache pickles cleanly (specs are frozen configs, values are plain
-    dataclasses), so a warmed cache can be shipped to sweep workers — see
-    :func:`snapshot_shared_pricing_cache` / :func:`install_shared_pricing_cache`
-    and the ``warm_cache`` argument of :func:`repro.experiments.sweep.run_sweep`.
     """
 
     def __init__(self) -> None:
@@ -270,17 +264,6 @@ class SharedPricingCache:
         for store in self._stores.values():
             store.clear()
 
-    def merge(self, other: "SharedPricingCache") -> int:
-        """Absorb another cache's entries (warm start); returns entries added."""
-        added = 0
-        for spec, store in other._stores.items():
-            mine = self._stores.setdefault(spec, {})
-            before = len(mine)
-            for key, result in store.items():
-                mine.setdefault(key, result)
-            added += len(mine) - before
-        return added
-
 
 #: The process-wide cache executors opt into with ``shared_cache=True``.
 GLOBAL_PRICING_CACHE = SharedPricingCache()
@@ -288,33 +271,6 @@ GLOBAL_PRICING_CACHE = SharedPricingCache()
 #: At or below this many resident experts, the scalar per-count price cache
 #: beats the batched numpy pass (dict hits vs fixed array overhead).
 _SCALAR_EXPERT_MAX = 16
-
-
-def snapshot_shared_pricing_cache() -> bytes:
-    """Serialize the process-wide pricing cache for warm-starting workers."""
-    return pickle.dumps(GLOBAL_PRICING_CACHE)
-
-
-def install_shared_pricing_cache(
-    payload: bytes | SharedPricingCache, target: SharedPricingCache | None = None
-) -> int:
-    """Merge a snapshot into a pricing cache; returns entries added.
-
-    Sweep workers call this (via ``run_sweep(..., warm_cache=...)``) so each
-    process starts from the parent's already-derived bucketed prices.
-
-    Args:
-        payload: a :func:`snapshot_shared_pricing_cache` payload or a
-            live cache.
-        target: cache to merge into (default: the process-wide
-            :data:`GLOBAL_PRICING_CACHE`); the elastic fleet controller
-            passes its fleet-scoped cache here to warm-start spin-ups.
-    """
-    cache = pickle.loads(payload) if isinstance(payload, (bytes, bytearray)) else payload
-    if not isinstance(cache, SharedPricingCache):
-        raise ConfigError("expected a SharedPricingCache snapshot")
-    destination = GLOBAL_PRICING_CACHE if target is None else target
-    return destination.merge(cache)
 
 
 class StageExecutor:
@@ -347,9 +303,9 @@ class StageExecutor:
             keeps a private per-executor store; ``True`` joins the
             process-wide :data:`GLOBAL_PRICING_CACHE`, sharing bucketed
             prices with every executor of the same pricing spec (system,
-            model, bucket, skew) — what cluster replicas and warm-started
-            sweep workers use; a :class:`SharedPricingCache` instance
-            scopes sharing explicitly.  Ignored unless ``memoize=True``.
+            model, bucket, skew) — what cluster replicas use; a
+            :class:`SharedPricingCache` instance scopes sharing
+            explicitly.  Ignored unless ``memoize=True``.
     """
 
     def __init__(
@@ -587,45 +543,6 @@ class StageExecutor:
             is_mixed=cached.is_mixed,
             tokens_generated=cached.tokens_generated,
         )
-
-    # ------------------------------------------------------------------
-    # incremental (delta) pricing
-    # ------------------------------------------------------------------
-    def reprice_decode_delta(
-        self, base: StageResult, context_lengths: np.ndarray
-    ) -> StageResult:
-        """Re-price only decode attention of a decoding-only stage.
-
-        The delta-aware fast path of
-        :class:`~repro.serving.engine.IncrementalStagePricer`: in steady
-        decode, consecutive stages keep the same request set (every other
-        operator depends only on the unchanged token count) and grow each
-        context by one token, so only the decode-attention operator — and
-        the latency it contributes — needs re-deriving.  The unit choice is
-        re-evaluated too, so a stage crossing the xPU/PIM break-even point
-        still lands on the right unit.  Latency is adjusted by the
-        attention-time delta, which matches a full exact reprice to within
-        float re-association (well under 1e-9 relative).
-        """
-        local_ctx = np.asarray(context_lengths)[:: self._n_nodes]
-        flops, bytes_read, bytes_written = self.math.attention_decode_fields(
-            local_ctx, self._decode_kv_fraction, validate=False
-        )
-        unit = self._decode_attention_unit(flops, bytes_read, bytes_written)
-        n_layers = self.model.n_layers
-        replicas = self._attention_replica_count
-        time = unit.op_time(flops, bytes_read, bytes_written) * n_layers
-        result = self._copy_result(base)
-        previous = result.time_by_category.get(OpCategory.ATTENTION_DECODE, 0.0)
-        result.time_by_category[OpCategory.ATTENTION_DECODE] = time
-        result.dram_energy_by_category[OpCategory.ATTENTION_DECODE] = (
-            unit.dram_energy(bytes_read, bytes_written) * replicas * n_layers
-        )
-        result.compute_energy_by_category[OpCategory.ATTENTION_DECODE] = (
-            unit.compute_energy(flops) * replicas * n_layers
-        )
-        result.latency_s = base.latency_s - previous + time
-        return result
 
     # ------------------------------------------------------------------
     # steady decode runs (the columnar fast path)

@@ -8,7 +8,8 @@ saturates first — beyond its capacity the queue grows without bound and
 T2FT explodes — while Duplex sustains roughly the 2xGPU arrival rate.
 
 The 21-point grid can fan out over a process pool (``workers``) and/or
-use memoized stage pricing (``memoize=True``, several times faster).
+use memoized stage pricing (``memoize=True``, about 1.2x faster:
+``BENCH_PERF.json`` records 0.132 s vs 0.160 s on the perf-suite grid).
 The default stays exact: memoized pricing replaces sampled expert
 routing with expected counts, which removes the gating-straggler stages
 that this figure's tail percentiles exist to show — use the fast path
@@ -61,7 +62,6 @@ def _qps_point(
     seed: int,
     memoize: bool,
     scenario: str | None = None,
-    incremental: bool = False,
 ) -> QpsRow:
     """Price one (system, QPS) grid point (process-pool worker).
 
@@ -82,7 +82,6 @@ def _qps_point(
         max_batch=max_batch,
         seed=seed,
         memoize_pricing=memoize,
-        incremental_pricing=incremental,
         shared_pricing_cache=memoize,
     )
     report = sim.run(limits)
@@ -103,13 +102,11 @@ def run(
     memoize: bool = False,
     workers: int | None = 1,
     scenario: str | None = None,
-    incremental: bool = False,
-    warm_cache: bytes | None = None,
 ) -> list[QpsRow]:
     """Regenerate the Fig. 13 QPS sweep.
 
     Args:
-        memoize: memoized stage pricing — several times faster, but
+        memoize: memoized stage pricing — about 1.2x faster, but
             expected-counts gating tightens the MoE tail percentiles
             (exact sampled pricing is the default, and the artefact).
             Memoized points share the process-wide pricing cache, so a
@@ -120,27 +117,18 @@ def run(
             :mod:`repro.serving.scenarios`) to sweep instead of the
             Gaussian-Poisson spec; each grid point rescales its arrival
             process to the point's QPS.
-        incremental: delta-price steady-decode stages (the serving-layer
-            fast path; see
-            :class:`~repro.serving.engine.IncrementalStagePricer`).  Like
-            ``memoize``, this trades sampled-gating tails for speed —
-            keep it off for the paper artefact.
-        warm_cache: optional
-            :func:`~repro.core.executor.snapshot_shared_pricing_cache`
-            payload installed in every worker before pricing (useful with
-            ``memoize=True`` and ``workers > 1``).
     """
     limits = limits or SimulationLimits(max_stages=1500, warmup_stages=150)
     param_sets = [
         dict(
             system_key=name, qps=qps, lin=lin, lout=lout,
             max_batch=max_batch, limits=limits, seed=seed, memoize=memoize,
-            scenario=scenario, incremental=incremental,
+            scenario=scenario,
         )
         for name in default_systems()
         for qps in qps_values
     ]
-    return run_sweep(_qps_point, param_sets, workers=workers, warm_cache=warm_cache)
+    return run_sweep(_qps_point, param_sets, workers=workers)
 
 
 def saturation_qps(rows: list[QpsRow], system: str, blowup_factor: float = 10.0) -> float:

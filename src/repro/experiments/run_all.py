@@ -12,7 +12,7 @@ without pytest.
 Sweep-shaped artefacts (currently Fig. 13's 21-point QPS grid) fan their
 grid points out over a process pool; ``--workers`` sets the pool width
 (default: one per CPU, ``--workers 1`` for serial).  ``--fast`` prices
-sweeps with memoized stage pricing — several times faster, with the
+sweeps with memoized stage pricing — about 1.2x faster, with the
 caveat that expected-counts expert routing tightens MoE tail
 percentiles relative to the exact sampled artefact.
 """

@@ -84,10 +84,6 @@ class ModelConfig:
         return self.n_experts > 0
 
     @property
-    def uses_gqa(self) -> bool:
-        return self.group_degree > 1
-
-    @property
     def d_head(self) -> int:
         return self.hidden // self.n_heads
 

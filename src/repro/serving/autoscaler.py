@@ -27,11 +27,8 @@ Cold vs warm starts: a freshly provisioned replica dwells in
 in ``WARMING`` while its stage-pricing caches populate.  Replicas built
 against a fleet :class:`~repro.core.executor.SharedPricingCache` that
 already holds entries for their pricing spec take the *warm-start* path —
-the cache snapshot stands in for the warm state, and the dwell shrinks to
-``warm_start_delay_s``.  A cache snapshot from a previous run
-(``warm_cache=``, see
-:func:`~repro.core.executor.snapshot_shared_pricing_cache`) warms the
-very first scale-up.
+the cached prices stand in for the warm state, and the dwell shrinks to
+``warm_start_delay_s``.
 
 Time model: control ticks never advance ACTIVE engines (they read the
 same possibly-stale state routers see — decisions take effect from the
@@ -49,11 +46,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 from typing import Callable, Protocol, runtime_checkable
 
-from repro.core.executor import (
-    GLOBAL_PRICING_CACHE,
-    SharedPricingCache,
-    install_shared_pricing_cache,
-)
+from repro.core.executor import GLOBAL_PRICING_CACHE, SharedPricingCache
 from repro.core.system import SystemConfig
 from repro.errors import ConfigError
 from repro.models.config import ModelConfig
@@ -408,8 +401,8 @@ class ElasticFleetSimulator(ClusterSimulator):
     Args:
         system / model / workload / router / max_batch / seed /
             gating_skew / policy_factory / memoize_pricing /
-            incremental_pricing / max_requests / worst_case_tokens: as
-            for :class:`~repro.serving.cluster.ClusterSimulator`.
+            max_requests / worst_case_tokens: as for
+            :class:`~repro.serving.cluster.ClusterSimulator`.
         policy: the autoscaling policy driving fleet size.
         min_replicas: lower clamp; the controller never drains below it.
         max_replicas: upper clamp on provisioned (booting + serving)
@@ -432,17 +425,13 @@ class ElasticFleetSimulator(ClusterSimulator):
             pricing caches).
         warm_start_delay_s: WARMING dwell on the warm-start path — the
             replica joins a fleet pricing cache that already holds
-            entries for its pricing spec, so only the snapshot install
+            entries for its pricing spec, so only loading those prices
             is simulated.
         shared_pricing_cache: the fleet pricing cache.  Defaults to a
             *fleet-scoped* :class:`~repro.core.executor.SharedPricingCache`
             (so the warm-start path reflects exactly what this fleet has
             priced); pass True for the process-wide cache, or False for
             private per-replica stores (every spin-up is then cold).
-        warm_cache: optional snapshot
-            (:func:`~repro.core.executor.snapshot_shared_pricing_cache`
-            payload or a live cache) merged into the fleet cache up
-            front, warming even the first scale-up.
         rate_window_s: sliding window of the arrival-rate estimate
             (default: five control intervals).
         slo_window: sliding sample-window length for rolling T2FT/TBT
@@ -477,9 +466,7 @@ class ElasticFleetSimulator(ClusterSimulator):
         gating_skew: float = 0.0,
         policy_factory: Callable[[], SchedulingPolicy] | None = None,
         memoize_pricing: bool = True,
-        incremental_pricing: bool = False,
         shared_pricing_cache: bool | SharedPricingCache | None = None,
-        warm_cache: bytes | SharedPricingCache | None = None,
         max_requests: int | None = None,
         worst_case_tokens: int | None = None,
         rate_window_s: float | None = None,
@@ -538,10 +525,6 @@ class ElasticFleetSimulator(ClusterSimulator):
             self.pricing_cache = shared_pricing_cache
         else:
             self.pricing_cache = None  # private per-replica stores: always cold
-        if warm_cache is not None:
-            if self.pricing_cache is None:
-                raise ConfigError("warm_cache needs a shared pricing cache to land in")
-            install_shared_pricing_cache(warm_cache, target=self.pricing_cache)
         super().__init__(
             system,
             model,
@@ -552,7 +535,6 @@ class ElasticFleetSimulator(ClusterSimulator):
             gating_skew=gating_skew,
             policy_factory=policy_factory,
             memoize_pricing=memoize_pricing,
-            incremental_pricing=incremental_pricing,
             shared_pricing_cache=(
                 self.pricing_cache if self.pricing_cache is not None else False
             ),

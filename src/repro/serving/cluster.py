@@ -78,7 +78,6 @@ from repro.core.system import SystemConfig, default_topology, sharded_system
 from repro.errors import CapacityError, ConfigError, SchedulingError, SimulationError
 from repro.models.config import ModelConfig
 from repro.serving.engine import (
-    IncrementalStagePricer,
     KvPagingCoordinator,
     ServingEngine,
     SimulationLimits,
@@ -441,7 +440,6 @@ class _MonolithicReplica:
         gating_skew: float,
         seed: int | None,
         memoize_pricing: bool,
-        incremental_pricing: bool = False,
         shared_cache: bool | SharedPricingCache = True,
         paging: PagingConfig | None = None,
         worst_case_tokens: int | None = None,
@@ -477,10 +475,7 @@ class _MonolithicReplica:
             prefix=self.prefix_index,
         )
         self.engine = ServingEngine(
-            self.scheduler,
-            self.executor,
-            label=f"{system.name}/replica{index}",
-            pricer=IncrementalStagePricer(self.executor) if incremental_pricing else None,
+            self.scheduler, self.executor, label=f"{system.name}/replica{index}"
         )
         self.engine.metrics.effective_batch = effective_batch
 
@@ -1101,10 +1096,6 @@ class ClusterSimulator:
             expected counts, so fleet tail percentiles omit
             gating-straggler stages; pass False for exact per-stage
             sampled pricing.
-        incremental_pricing: delta-price steady-decode stages in every
-            monolithic replica (see
-            :class:`~repro.serving.engine.IncrementalStagePricer`); exact
-            pricing remains the default.
         shared_pricing_cache: where memoized replica prices live.  True
             (default) joins the process-wide
             :data:`~repro.core.executor.GLOBAL_PRICING_CACHE`; pass a
@@ -1166,7 +1157,6 @@ class ClusterSimulator:
         gating_skew: float = 0.0,
         policy_factory: Callable[[], SchedulingPolicy] | None = None,
         memoize_pricing: bool = True,
-        incremental_pricing: bool = False,
         shared_pricing_cache: bool | SharedPricingCache = True,
         max_requests: int | None = None,
         worst_case_tokens: int | None = None,
@@ -1209,7 +1199,6 @@ class ClusterSimulator:
         self._gating_skew = gating_skew
         self._policy_factory = policy_factory
         self._memoize_pricing = memoize_pricing
-        self._incremental_pricing = incremental_pricing
         self._shared_pricing_cache = shared_pricing_cache
         self._paging = paging
         self._prefix = prefix
@@ -1264,7 +1253,6 @@ class ClusterSimulator:
                 gating_skew=self._gating_skew,
                 seed=replica_seed,
                 memoize_pricing=self._memoize_pricing,
-                incremental_pricing=self._incremental_pricing,
                 shared_cache=self._shared_pricing_cache,
                 prefix=self._prefix,
                 n_devices=spec.n_devices,
@@ -1291,7 +1279,6 @@ class ClusterSimulator:
                 gating_skew=self._gating_skew,
                 seed=replica_seed,
                 memoize_pricing=self._memoize_pricing,
-                incremental_pricing=self._incremental_pricing,
                 shared_cache=self._shared_pricing_cache,
                 paging=self._paging,
                 worst_case_tokens=self._worst_seq,

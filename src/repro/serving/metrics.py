@@ -12,8 +12,6 @@ long fleets), the collector keeps
   and SLO attainment over the histogram are byte-identical to the old
   per-stage lists, because weights are integer-valued token counts whose
   group sums are exact;
-* scalar Welford moments (token-weighted mean/M2) for streaming
-  mean/stddev without any list;
 * a small bounded deque of the most recent samples backing the
   incremental :meth:`MetricsCollector.tbt_samples_since` cursor API the
   autoscaling controller polls.
@@ -145,9 +143,6 @@ class MetricsCollector:
 
     _tbt_hist: dict[float, float] = field(default_factory=dict)
     _tbt_count: int = 0
-    _tbt_weight_total: float = 0.0
-    _tbt_mean: float = 0.0
-    _tbt_m2: float = 0.0
     _tbt_recent: deque[tuple[float, float]] = field(
         default_factory=lambda: deque(maxlen=_TBT_RECENT_MAXLEN)
     )
@@ -232,12 +227,6 @@ class MetricsCollector:
         hist = self._tbt_hist
         hist[value] = hist.get(value, 0.0) + weight
         self._tbt_count += 1
-        self._tbt_weight_total += weight
-        # Token-weighted Welford update (numerically stable streaming
-        # mean/M2 — no per-stage list needed for mean/stddev).
-        delta = value - self._tbt_mean
-        self._tbt_mean += (weight / self._tbt_weight_total) * delta
-        self._tbt_m2 += weight * delta * (value - self._tbt_mean)
         self._tbt_recent.append((value, weight))
 
     def record_decode_run(
@@ -566,15 +555,6 @@ class MetricsCollector:
                 fleet._tbt_hist[value] = fleet._tbt_hist.get(value, 0.0) + weight
             fleet._tbt_count += collector._tbt_count
             fleet._tbt_recent.extend(collector._tbt_recent)
-            if collector._tbt_weight_total > 0:
-                # Parallel (Chan et al.) combination of Welford moments.
-                wa = fleet._tbt_weight_total
-                wb = collector._tbt_weight_total
-                delta = collector._tbt_mean - fleet._tbt_mean
-                total = wa + wb
-                fleet._tbt_mean += delta * wb / total
-                fleet._tbt_m2 += collector._tbt_m2 + delta * delta * wa * wb / total
-                fleet._tbt_weight_total = total
             fleet._t2ft.extend(collector._t2ft)
             fleet._e2e.extend(collector._e2e)
             fleet._stages_total += collector._stages_total
@@ -669,18 +649,6 @@ class MetricsCollector:
         """
         return self._t2ft
 
-    @property
-    def tbt_samples(self) -> tuple[Sequence[float], Sequence[float]]:
-        """(values, weights) of the TBT population recorded so far.
-
-        Values are the distinct stage latencies in first-seen order,
-        each carrying its total token weight (the histogram the
-        percentile/attainment math consumes) — equal-weighted-percentile
-        to the historical one-entry-per-stage lists, without the
-        unbounded storage.
-        """
-        return list(self._tbt_hist.keys()), list(self._tbt_hist.values())
-
     def tbt_samples_since(self, cursor: int) -> tuple[list[float], list[float], int]:
         """Incremental TBT poll: samples recorded after ``cursor``.
 
@@ -697,18 +665,6 @@ class MetricsCollector:
         take = min(gap, len(self._tbt_recent))
         recent = list(self._tbt_recent)[-take:] if take else []
         return [v for v, _ in recent], [w for _, w in recent], self._tbt_count
-
-    @property
-    def tbt_mean_s(self) -> float:
-        """Token-weighted mean TBT (0.0 before any decode stage)."""
-        return self._tbt_mean if self._tbt_weight_total > 0 else 0.0
-
-    @property
-    def tbt_std_s(self) -> float:
-        """Token-weighted population TBT stddev (Welford moments)."""
-        if self._tbt_weight_total <= 0:
-            return 0.0
-        return float(np.sqrt(max(0.0, self._tbt_m2 / self._tbt_weight_total)))
 
     def tbt_slo_attainment(self, slo_s: float) -> float:
         """Fraction of generated tokens whose TBT met ``slo_s``.

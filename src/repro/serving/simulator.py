@@ -21,7 +21,6 @@ from repro.core.system import SystemConfig
 from repro.errors import CapacityError
 from repro.models.config import ModelConfig
 from repro.serving.engine import (
-    IncrementalStagePricer,
     ServingEngine,
     SimulationLimits,
     paged_engine_setup,
@@ -51,10 +50,6 @@ class ServingSimulator:
         policy: scheduling policy (default FCFS, the paper's behaviour).
         memoize_pricing: reuse stage prices across equal quantized stage
             compositions (see :class:`~repro.core.executor.StageExecutor`).
-        incremental_pricing: price steady-decode stages by delta from the
-            previous stage (see
-            :class:`~repro.serving.engine.IncrementalStagePricer`) — the
-            opt-in fast path; exact pricing stays the default.
         shared_pricing_cache: with ``memoize_pricing``, share bucketed
             prices through the process-wide
             :data:`~repro.core.executor.GLOBAL_PRICING_CACHE` (or a given
@@ -91,7 +86,6 @@ class ServingSimulator:
         gating_skew: float = 0.0,
         policy: SchedulingPolicy | None = None,
         memoize_pricing: bool = False,
-        incremental_pricing: bool = False,
         shared_pricing_cache: bool | SharedPricingCache = False,
         worst_case_tokens: int | None = None,
         paging: PagingConfig | None = None,
@@ -132,13 +126,8 @@ class ServingSimulator:
             paging=self.paging,
             prefix=self.prefix,
         )
-        pricer = IncrementalStagePricer(self.executor) if incremental_pricing else None
         self.engine = ServingEngine(
-            self.scheduler,
-            self.executor,
-            label=system.name,
-            pricer=pricer,
-            columnar=columnar,
+            self.scheduler, self.executor, label=system.name, columnar=columnar
         )
         self.engine.metrics.effective_batch = self.effective_batch
         closed_loop = bool(getattr(self.source, "closed_loop", False))

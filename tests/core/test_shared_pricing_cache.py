@@ -1,22 +1,16 @@
-"""The process-wide shared stage-pricing cache: sharing, isolation, pickling."""
+"""The process-wide shared stage-pricing cache: sharing and isolation."""
 
 from __future__ import annotations
 
-import pickle
-
 import numpy as np
-import pytest
 
 from repro.core.executor import (
     GLOBAL_PRICING_CACHE,
     SharedPricingCache,
     StageExecutor,
     StageWorkload,
-    install_shared_pricing_cache,
-    snapshot_shared_pricing_cache,
 )
 from repro.core.system import duplex_system
-from repro.errors import ConfigError
 from repro.models.config import glam, mixtral
 from repro.serving.cluster import ClusterSimulator
 from repro.serving.generator import WorkloadSpec
@@ -94,37 +88,6 @@ class TestSharing:
         assert len(cache) == 0
         bound.run_stage(stage([512]))  # the executor still writes the same store
         assert len(cache) == 1
-
-
-class TestWarmStart:
-    def test_pickle_round_trip_preserves_prices(self):
-        cache = SharedPricingCache()
-        source = executor(cache)
-        source.run_stage(stage([1024] * 8))
-        clone: SharedPricingCache = pickle.loads(pickle.dumps(cache))
-        assert len(clone) == len(cache) == 1
-        warmed = executor(clone)
-        warmed.run_stage(stage([1024] * 8))
-        assert warmed.pricing_cache_info().hits == 1
-        assert warmed.pricing_cache_info().misses == 0
-
-    def test_snapshot_and_install_merge_into_global(self):
-        donor = SharedPricingCache()
-        executor(donor).run_stage(stage([2048, 2048]))
-        before = len(GLOBAL_PRICING_CACHE)
-        added = GLOBAL_PRICING_CACHE.merge(donor)
-        try:
-            assert added == 1
-            assert len(GLOBAL_PRICING_CACHE) == before + 1
-            # snapshot → install round-trips (idempotent on identical entries)
-            payload = snapshot_shared_pricing_cache()
-            assert install_shared_pricing_cache(payload) == 0
-        finally:
-            GLOBAL_PRICING_CACHE.clear()
-
-    def test_install_rejects_garbage(self):
-        with pytest.raises(ConfigError):
-            install_shared_pricing_cache(pickle.dumps({"not": "a cache"}))
 
 
 class TestClusterIntegration:

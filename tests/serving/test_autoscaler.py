@@ -19,7 +19,6 @@ import dataclasses
 
 import pytest
 
-from repro.core.executor import SharedPricingCache
 from repro.core.system import duplex_system
 from repro.errors import ConfigError, SchedulingError
 from repro.models.config import mixtral
@@ -300,21 +299,6 @@ class TestControllerMechanics:
             dwell = handle.active_at - handle.warming_at
             assert dwell == pytest.approx(sim.warmup_delay_s)
 
-    def test_warm_cache_snapshot_installs(self):
-        donor = SharedPricingCache()
-        sim_a = elastic(
-            StaticReplicaPolicy(1), max_replicas=1, shared_pricing_cache=donor,
-            max_requests=40,
-        )
-        sim_a.run(LIMITS)
-        assert len(donor) > 0
-        fleet_cache = SharedPricingCache()
-        elastic(
-            StaticReplicaPolicy(1), max_replicas=1,
-            shared_pricing_cache=fleet_cache, warm_cache=donor,
-        )
-        assert len(fleet_cache) == len(donor)
-
     def test_routers_only_see_active_replicas(self):
         seen = []
 
@@ -342,8 +326,6 @@ class TestControllerMechanics:
             elastic(StaticReplicaPolicy(1), initial_replicas=9)
         with pytest.raises(ConfigError):
             elastic(StaticReplicaPolicy(1), control_interval_s=0.0)
-        with pytest.raises(ConfigError):
-            elastic(StaticReplicaPolicy(1), warm_cache=b"x", shared_pricing_cache=False)
 
 
 class TestStaticElasticEquivalence:

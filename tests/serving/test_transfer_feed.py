@@ -66,6 +66,20 @@ class TestTransferFeed:
         feed.take(2.0)
         assert feed.queued_tokens == 0
 
+    def test_counter_tracks_out_of_order_push_and_take(self):
+        feed = TransferFeed()
+        assert feed.queued_tokens == 0
+        expected = 0
+        for i in range(20):
+            r = request(i, input_len=100 + i, output_len=10 + i)
+            feed.push(float(20 - i), r)  # deliberately out of order
+            expected += r.total_seq_len
+            assert feed.queued_tokens == expected
+        while len(feed):
+            expected -= feed.take(100.0).total_seq_len
+            assert feed.queued_tokens == expected
+        assert feed.queued_tokens == 0
+
     def test_readiness_protocol(self):
         feed = TransferFeed()
         assert feed.peek() is None
