@@ -350,10 +350,12 @@ class StageExecutor:
         self._comm_cache: dict[int, tuple[float, float]] = {}
         self._expected_counts_cache: dict[int, np.ndarray] = {}
         # Count-indexed expert price lookup tables for the decode-run fast
-        # path, keyed by the routed-token bound (batch * top_k).  A LUT
-        # entry depends only on its own count, so indexing a full-range
-        # table yields the same floats as building one per run.
-        self._run_lut_cache: dict[int, tuple] = {}
+        # path over ``0.._run_lut_max`` routed tokens, rebuilt only when a
+        # run's bound (batch * top_k) exceeds it.  A LUT entry depends only
+        # on its own count, so indexing a wider table yields the same
+        # floats as building one per run.
+        self._run_lut: tuple = ()
+        self._run_lut_max = -1
         # Scalar per-token-count expert prices — the runtime lookup table of
         # Section V-B extended with energies.  Decode-stage routing repeats
         # the same small counts constantly, so small expert sets price from
@@ -697,17 +699,16 @@ class StageExecutor:
             self._router.route_batch(pricing.total_tokens, n_committed)
 
     def _run_luts(self, max_count: int) -> tuple:
-        """Count-indexed expert price LUTs over ``0..max_count`` (cached).
+        """Count-indexed expert price LUTs covering ``0..max_count``.
 
         GPU/HETERO executors get ``(time, dram, compute)``; Duplex-style
-        two-unit executors get ``(tx, tp, dx, dp, cx, cp)``.  Each LUT
-        entry is a pure function of its own count, so the cached
-        full-range table indexes to the same floats a per-run table
-        bounded by that run's maximum count would.
+        two-unit executors get ``(tx, tp, dx, dp, cx, cp)``.  One set is
+        kept, grown to the largest bound seen.  Each LUT entry is a pure
+        function of its own count, so the wider table indexes to the same
+        floats a per-run table bounded by that run's maximum count would.
         """
-        luts = self._run_lut_cache.get(max_count)
-        if luts is not None:
-            return luts
+        if max_count <= self._run_lut_max:
+            return self._run_lut
         lut_counts = np.arange(max_count + 1, dtype=np.int64)
         idle = lut_counts == 0
         fl, brr, bww = self.math.expert_ffn_arrays(
@@ -732,7 +733,8 @@ class StageExecutor:
                 self._xpu.compute_energies(fl),
                 self._pim.compute_energies(fl),
             )
-        self._run_lut_cache[max_count] = luts
+        self._run_lut = luts
+        self._run_lut_max = max_count
         return luts
 
     def _price_moe_run(

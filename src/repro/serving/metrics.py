@@ -4,17 +4,15 @@ TBT samples are weighted (one stage latency counts once per decode token it
 produced), so percentiles are computed over the token population exactly as
 a per-token trace would give, without storing one entry per token.
 
-TBT storage is *columnar-hot-loop friendly*: instead of unbounded
-per-stage Python lists (two appends per stage, unbounded growth over
-long fleets), the collector keeps
-
-* a latency histogram (``value -> summed token weight``) — percentiles
-  and SLO attainment over the histogram are byte-identical to the old
-  per-stage lists, because weights are integer-valued token counts whose
-  group sums are exact;
-* a small bounded deque of the most recent samples backing the
-  incremental :meth:`MetricsCollector.tbt_samples_since` cursor API the
-  autoscaling controller polls.
+TBT storage is *columnar*: two compact float64 sample columns (stage
+latency and its token weight, ``array('d')``, 16 bytes a sample) in record
+order.  A vectorized decode run appends its whole latency vector in one
+call, with no per-stage Python work.  Percentiles and SLO attainment are
+exact over the columns because weights are integer-valued token counts:
+every cumulative weight sum is an exact float, so equal latencies group
+to the same totals in any order.  The incremental
+:meth:`MetricsCollector.tbt_samples_since` cursor API the autoscaling
+controller polls reads the columns' tail.
 
 Per-request T2FT/E2E samples stay as lists — they are bounded by request
 count, not stage count, and the report needs their medians.
@@ -23,7 +21,7 @@ count, not stage count, and the report needs their medians.
 from __future__ import annotations
 
 import contextlib
-from collections import deque
+from array import array
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -49,7 +47,14 @@ def weighted_percentile(values: np.ndarray, weights: np.ndarray, q: float) -> fl
     weights, mismatched array sizes, and an all-zero weight vector are
     rejected.
     """
-    if not 0 <= q <= 100:
+    return weighted_percentiles(values, weights, (q,))[0]
+
+
+def weighted_percentiles(
+    values: np.ndarray, weights: np.ndarray, qs: Sequence[float]
+) -> list[float]:
+    """:func:`weighted_percentile` for several ``qs`` over one sort."""
+    if not all(0 <= q <= 100 for q in qs):
         raise ConfigError("percentile must be within 0..100")
     if values.size == 0:
         raise SimulationError("cannot take a percentile of an empty sample")
@@ -63,12 +68,23 @@ def weighted_percentile(values: np.ndarray, weights: np.ndarray, q: float) -> fl
         weights = weights[keep]
         if values.size == 0:
             raise SimulationError("cannot take a percentile of an all-zero-weight sample")
+    # 24 bytes a sample at the peak (index, sorted values, weights): the
+    # index goes before the in-place cumulative sum.
     order = np.argsort(values)
     sorted_values = values[order]
-    cumulative = np.cumsum(weights[order])
-    threshold = q / 100.0 * cumulative[-1]
-    index = int(np.searchsorted(cumulative, threshold, side="left"))
-    return float(sorted_values[min(index, sorted_values.size - 1)])
+    cumulative = weights[order]
+    del order
+    np.cumsum(cumulative, out=cumulative)
+    total = cumulative[-1]
+    last = sorted_values.size - 1
+    return [
+        float(
+            sorted_values[
+                min(int(np.searchsorted(cumulative, q / 100.0 * total, side="left")), last)
+            ]
+        )
+        for q in qs
+    ]
 
 
 @dataclass(frozen=True)
@@ -130,8 +146,8 @@ class ServingReport:
     prefix: dict[str, float] = field(default_factory=dict)
 
 
-#: How many recent TBT samples back the incremental cursor API.  Far
-#: larger than any consumer's own window (the autoscaler keeps 64); a
+#: Most samples one incremental cursor poll returns (the columns' tail).
+#: Far larger than any consumer's own window (the autoscaler keeps 64); a
 #: poll gap exceeding this only drops samples the consumer's sliding
 #: window would have evicted anyway.
 _TBT_RECENT_MAXLEN = 512
@@ -141,11 +157,9 @@ _TBT_RECENT_MAXLEN = 512
 class MetricsCollector:
     """Accumulates per-stage and per-request measurements."""
 
-    _tbt_hist: dict[float, float] = field(default_factory=dict)
-    _tbt_count: int = 0
-    _tbt_recent: deque[tuple[float, float]] = field(
-        default_factory=lambda: deque(maxlen=_TBT_RECENT_MAXLEN)
-    )
+    #: TBT sample columns in record order: stage latency, token weight.
+    _tbt_values: array = field(default_factory=lambda: array("d"))
+    _tbt_weights: array = field(default_factory=lambda: array("d"))
     _t2ft: list[float] = field(default_factory=list)
     _e2e: list[float] = field(default_factory=list)
     _stages_total: int = 0
@@ -216,18 +230,12 @@ class MetricsCollector:
         if is_mixed:
             self._stages_mixed += 1
         if decode_tokens > 0:
-            self._record_tbt(latency_s, float(decode_tokens))
+            self._tbt_values.append(latency_s)
+            self._tbt_weights.append(float(decode_tokens))
         self._tokens += total_tokens_generated
         self._elapsed_s += latency_s
         self._busy_s += latency_s
         self._add_energy(dram_energy, compute_energy, comm_energy_j)
-
-    def _record_tbt(self, value: float, weight: float) -> None:
-        """Fold one token-weighted TBT sample into the scalar state."""
-        hist = self._tbt_hist
-        hist[value] = hist.get(value, 0.0) + weight
-        self._tbt_count += 1
-        self._tbt_recent.append((value, weight))
 
     def record_decode_run(
         self,
@@ -242,7 +250,7 @@ class MetricsCollector:
         columnar fast path: every accumulator lands on the exact floats
         ``n`` sequential ``record_stage`` calls would produce (seeded
         cumulative sums reproduce left-to-right addition order bit for
-        bit; histogram weights are exact integer-valued token counts).
+        bit; the TBT columns take the run's latencies as one block).
 
         Args:
             latencies: per-stage latencies of the run, in stage order.
@@ -268,9 +276,8 @@ class MetricsCollector:
         )
         self._busy_s = float(np.concatenate(([self._busy_s], latencies)).cumsum()[-1])
         if decode_tokens > 0:
-            weight = float(decode_tokens)
-            for value in latencies.tolist():
-                self._record_tbt(value, weight)
+            self._tbt_values.frombytes(np.asarray(latencies, dtype=np.float64).tobytes())
+            self._tbt_weights.extend(array("d", (float(decode_tokens),)) * n)
         components = self._energy_by_component
         for key, joules in energy_components:
             components[key] = float(
@@ -551,10 +558,8 @@ class MetricsCollector:
         """
         fleet = cls()
         for collector in collectors:
-            for value, weight in collector._tbt_hist.items():
-                fleet._tbt_hist[value] = fleet._tbt_hist.get(value, 0.0) + weight
-            fleet._tbt_count += collector._tbt_count
-            fleet._tbt_recent.extend(collector._tbt_recent)
+            fleet._tbt_values.extend(collector._tbt_values)
+            fleet._tbt_weights.extend(collector._tbt_weights)
             fleet._t2ft.extend(collector._t2ft)
             fleet._e2e.extend(collector._e2e)
             fleet._stages_total += collector._stages_total
@@ -653,18 +658,24 @@ class MetricsCollector:
         """Incremental TBT poll: samples recorded after ``cursor``.
 
         Returns ``(values, weights, new_cursor)`` where the cursor is an
-        opaque monotone sample count (start from 0).  Backed by a
-        bounded recent-sample buffer: a poll gap larger than the buffer
-        yields only the newest samples, which is lossless for every
-        sliding-window consumer narrower than the buffer (the dropped
+        opaque monotone sample count (start from 0).  A poll returns at
+        most the newest ``_TBT_RECENT_MAXLEN`` samples, which is lossless
+        for every sliding-window consumer narrower than that (the dropped
         samples would have been evicted from their window anyway).
         """
-        gap = self._tbt_count - cursor
+        count = len(self._tbt_values)
+        gap = count - cursor
         if gap <= 0:
-            return [], [], self._tbt_count
-        take = min(gap, len(self._tbt_recent))
-        recent = list(self._tbt_recent)[-take:] if take else []
-        return [v for v, _ in recent], [w for _, w in recent], self._tbt_count
+            return [], [], count
+        take = min(gap, _TBT_RECENT_MAXLEN)
+        return self._tbt_values[-take:].tolist(), self._tbt_weights[-take:].tolist(), count
+
+    def _tbt_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """Zero-copy float64 views of the TBT columns (drop before appending)."""
+        return (
+            np.frombuffer(self._tbt_values, dtype=np.float64),
+            np.frombuffer(self._tbt_weights, dtype=np.float64),
+        )
 
     def tbt_slo_attainment(self, slo_s: float) -> float:
         """Fraction of generated tokens whose TBT met ``slo_s``.
@@ -674,10 +685,9 @@ class MetricsCollector:
         """
         if slo_s <= 0:
             raise ConfigError("SLO must be positive")
-        if not self._tbt_hist:
+        if not self._tbt_values:
             raise SimulationError("no TBT samples recorded")
-        values = np.asarray(list(self._tbt_hist.keys()))
-        weights = np.asarray(list(self._tbt_hist.values()))
+        values, weights = self._tbt_columns()
         met = weights[values <= slo_s].sum()
         return float(met / weights.sum())
 
@@ -727,19 +737,20 @@ class MetricsCollector:
         """Summarise everything recorded so far."""
         if self._stages_total == 0:
             raise SimulationError("no stages recorded")
-        tbt_values = np.asarray(list(self._tbt_hist.keys()))
-        tbt_weights = np.asarray(list(self._tbt_hist.values()))
-        if tbt_values.size == 0:
-            tbt_values = np.asarray([0.0])
-            tbt_weights = np.asarray([1.0])
+        if self._tbt_values:
+            tbt_p50, tbt_p90, tbt_p99 = weighted_percentiles(
+                *self._tbt_columns(), (50, 90, 99)
+            )
+        else:
+            tbt_p50 = tbt_p90 = tbt_p99 = 0.0
         total_energy = sum(self._energy_by_component.values())
         return ServingReport(
             tokens_generated=self._tokens,
             elapsed_s=self._elapsed_s,
             throughput_tokens_per_s=self._tokens / self._elapsed_s if self._elapsed_s > 0 else 0.0,
-            tbt_p50_s=weighted_percentile(tbt_values, tbt_weights, 50),
-            tbt_p90_s=weighted_percentile(tbt_values, tbt_weights, 90),
-            tbt_p99_s=weighted_percentile(tbt_values, tbt_weights, 99),
+            tbt_p50_s=tbt_p50,
+            tbt_p90_s=tbt_p90,
+            tbt_p99_s=tbt_p99,
             t2ft_p50_s=float(np.median(self._t2ft)) if self._t2ft else 0.0,
             e2e_p50_s=float(np.median(self._e2e)) if self._e2e else 0.0,
             decoding_only_stage_ratio=1.0 - self._stages_mixed / self._stages_total,

@@ -17,6 +17,7 @@ else.
 from __future__ import annotations
 
 import enum
+import heapq
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -488,6 +489,12 @@ class PrefixIndex:
         self._resident_tokens = 0
         self._peak_resident_tokens = 0
         self._touch_seq = 0
+        #: Zero-ref leaves by LRU ``touch``: ``(touch, push seq, node)``.
+        #: Entries go stale lazily (the node was re-pinned, grew a child
+        #: or was removed) and are skipped on pop; every live zero-ref
+        #: leaf has an entry under its current touch.
+        self._lru: list[tuple[int, int, _PrefixNode]] = []
+        self._lru_seq = 0
 
     # ------------------------------------------------------------------
     # introspection
@@ -624,9 +631,12 @@ class PrefixIndex:
         dropped = 0
         for node in reversed(path):
             node.refcount -= 1
-            if node.refcount == 0 and not node.ready and not node.children:
-                self._remove(node)
-                dropped += node.tokens
+            if node.refcount == 0 and not node.children:
+                if node.ready:
+                    self._push_lru(node)
+                else:
+                    self._remove(node)
+                    dropped += node.tokens
         self._dropped_pending_tokens += dropped
         return dropped
 
@@ -641,6 +651,7 @@ class PrefixIndex:
         self._root = _PrefixNode(key=-1, tokens=0, parent=None)
         self._holders.clear()
         self._resident_tokens = 0
+        self._lru.clear()
 
     # ------------------------------------------------------------------
     # eviction
@@ -664,24 +675,25 @@ class PrefixIndex:
         """Reclaim zero-ref cached blocks, LRU-first, until ``needed_tokens``.
 
         Only leaf blocks are removable (a block's KV prefix-closes over
-        its ancestors), so reclaiming walks leaves inward.  Returns the
-        tokens actually freed, which may fall short when everything left
-        is pinned by a live holder.
+        its ancestors), so reclaiming walks leaves inward: the victim is
+        always the zero-ref leaf with the oldest ``touch`` (touches are
+        unique), popped from the LRU heap.  Returns the tokens actually
+        freed, which may fall short when everything left is pinned by a
+        live holder.
         """
         if needed_tokens <= 0:
             return 0
         freed = 0
-        while freed < needed_tokens:
-            victim: _PrefixNode | None = None
-            stack = list(self._root.children.values())
-            while stack:
-                node = stack.pop()
-                evictable = node.refcount == 0 and not node.children
-                if evictable and (victim is None or node.touch < victim.touch):
-                    victim = node
-                stack.extend(node.children.values())
-            if victim is None:
-                break
+        lru = self._lru
+        while freed < needed_tokens and lru:
+            touch, _, victim = heapq.heappop(lru)
+            if (
+                victim.parent is None
+                or victim.touch != touch
+                or victim.refcount
+                or victim.children
+            ):
+                continue  # stale entry
             self._remove(victim)
             freed += victim.tokens
             self._evicted_tokens_total += victim.tokens
@@ -752,9 +764,16 @@ class PrefixIndex:
             hit_tokens=hit, inserted_tokens=inserted, shared_tokens=shared
         )
 
+    def _push_lru(self, node: _PrefixNode) -> None:
+        """Index a node that just became a zero-ref leaf for eviction."""
+        self._lru_seq += 1
+        heapq.heappush(self._lru, (node.touch, self._lru_seq, node))
+
     def _remove(self, node: _PrefixNode) -> None:
         parent = node.parent
         assert parent is not None and not node.children
         del parent.children[node.key]
         node.parent = None
         self._resident_tokens -= node.tokens
+        if parent.refcount == 0 and not parent.children and parent is not self._root:
+            self._push_lru(parent)

@@ -104,11 +104,14 @@ class ContinuousBatchingScheduler:
         self._stage_chunks: dict[int, int] = {}
         self._stage_decoding: list[Request] = []
         self._stage_prefilling: list[Request] = []
-        # Steady-decode fast path: while the batch membership is unchanged
-        # and everything decodes, the next stage's composition is exactly
-        # the previous context vector plus one — no re-partitioning, no
-        # per-request array rebuild.  Any admission, completion, handoff,
-        # or prefill invalidates it.
+        # Steady-decode fast path.  ``_steady``: every running request
+        # decodes (set when a stage or run completes with no prefill left;
+        # any admission, landing, preemption or handoff clears it), so a
+        # steady run may arm straight from the batch.  ``_steady_ctx``: the
+        # contexts of the last built stage while the membership is
+        # unchanged — the next stage is that vector plus one, with no
+        # re-partitioning or per-request rebuild.  None (after a
+        # completion or a mixed stage) rebuilds it from the table.
         self._steady = False
         self._steady_ctx: np.ndarray | None = None
         #: Struct-of-arrays mirror of the in-flight batch (columnar core).
@@ -210,9 +213,13 @@ class ContinuousBatchingScheduler:
             self._paging_boundary()
         self._drain_arrivals()
         if self.waiting:  # policies only shed/order what is actually queued
-            for request in self.policy.shed(self.waiting, self.now_s):
-                self.waiting.remove(request)
-                self.rejected.append(request)
+            shed = self.policy.shed(self.waiting, self.now_s)
+            if shed:
+                # One pass keyed on id (list.remove compared whole
+                # dataclasses field by field, per element).
+                shed_ids = {request.request_id for request in shed}
+                self.waiting[:] = [r for r in self.waiting if r.request_id not in shed_ids]
+                self.rejected.extend(shed)
             self.policy.order_waiting(self.waiting, self.now_s)
         resuming = self.paging.in_transit_count if self.paging is not None else 0
         while len(self.running) + resuming < self.max_batch:
@@ -403,7 +410,6 @@ class ContinuousBatchingScheduler:
         for request_id in victim_ids:
             victim = by_id[request_id]
             paging.evict(victim, self.now_s)
-            self.running.remove(victim)
             self.table.free(request_id)
             self._committed_tokens -= victim.unique_seq_len
             if self.prefix is not None:
@@ -415,6 +421,8 @@ class ContinuousBatchingScheduler:
                 self.prefix.forget(request_id)
             self._stage_preempted.append(request_id)
         if victim_ids:
+            evicted = set(victim_ids)
+            self.running[:] = [r for r in self.running if r.request_id not in evicted]
             if self.prefix is not None:
                 shortfall = needed_tokens - (
                     self.capacity_tokens
@@ -523,6 +531,7 @@ class ContinuousBatchingScheduler:
         finished: list[Request] = []
         still_running: list[Request] = []
         chunks = self._stage_chunks
+        prefilling_left = False
         for request in self.running:
             state = request.state
             if state is RequestState.DECODING:
@@ -543,6 +552,7 @@ class ContinuousBatchingScheduler:
                 chunk = chunks.get(request.request_id)
                 if chunk is None:
                     still_running.append(request)  # waited out this stage's budget
+                    prefilling_left = True
                     continue
                 request.advance_prefill(chunk, now_s)
                 if (
@@ -560,6 +570,7 @@ class ContinuousBatchingScheduler:
                 self._committed_tokens -= request.unique_seq_len
             else:
                 still_running.append(request)
+                prefilling_left = prefilling_left or request.state is RequestState.PREFILLING
         self.running = still_running
         self._stage_chunks = {}
         if finished:
@@ -571,8 +582,9 @@ class ContinuousBatchingScheduler:
             if self.paging is not None:
                 for request in finished:
                     self.paging.on_release(request)
-            self._steady = False
             self._steady_ctx = None
+        # Every survivor decodes: a steady run may arm from the batch as is.
+        self._steady = not prefilling_left
         return finished
 
     # ------------------------------------------------------------------
@@ -595,7 +607,7 @@ class ContinuousBatchingScheduler:
         are capped at ``min_remaining`` so completions only ever land on
         a run's final stage.
         """
-        if not self._steady or self._steady_ctx is None or not self.running or self.waiting:
+        if not self._steady or not self.running or self.waiting:
             return None
         paging = self.paging
         threshold = float("inf")
@@ -620,8 +632,15 @@ class ContinuousBatchingScheduler:
 
     def steady_context_base(self) -> np.ndarray:
         """Context-length vector of the last built stage (run stage k
-        prices at ``base + k``, 1-based)."""
-        assert self._steady_ctx is not None
+        prices at ``base + k``, 1-based).
+
+        After a membership change no stage has been built for the current
+        batch; the base is then the refreshed contexts minus one, the
+        vector a scalar stage built now would have advanced from.
+        """
+        if self._steady_ctx is None:
+            table = self.table
+            self._steady_ctx = table.context_len[table.refresh(self.running)] - 1
         return self._steady_ctx
 
     def steady_min_remaining(self) -> int:
@@ -668,7 +687,6 @@ class ContinuousBatchingScheduler:
             if self.paging is not None:
                 for request in finished:
                     self.paging.on_release(request)
-            self._steady = False
             self._steady_ctx = None
         else:
             self._steady_ctx = ctx + n_stages
@@ -776,6 +794,8 @@ class ContinuousBatchingScheduler:
             if self.paging is not None:
                 self.paging.on_admit(request)
             synthetic.append(request)
+        # Every warm-started request decodes: a steady run may arm at once.
+        self._steady = True
         return synthetic
 
 

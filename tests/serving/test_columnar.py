@@ -258,3 +258,45 @@ def test_columnar_matches_scalar_under_paging_pressure(policy):
     assert _trajectory(fast_report, [fast_engine]) == _trajectory(
         oracle_report, [oracle_engine]
     )
+
+
+def test_scalar_path_prices_only_mixed_stages():
+    """A steady run re-arms straight from the batch at every membership change.
+
+    On a warm closed loop the only stages the scalar ``run_stage`` prices
+    are the mixed stages that admit a replacement request; the decode-only
+    stage after each one joins the next vectorized run.  Output lengths
+    are fixed so completions stay ``lout / batch`` stages apart: a run
+    shorter than two stages stays scalar by design.  The report matches
+    the scalar oracle exactly.
+    """
+    from repro.core.system import duplex_system
+    from repro.models.config import mixtral
+    from repro.serving.generator import WorkloadSpec
+    from repro.serving.simulator import ServingSimulator, SimulationLimits
+
+    model = mixtral()
+    system = duplex_system(model, co_processing=True, expert_tensor_parallel=True)
+    spec = WorkloadSpec(lin_mean=256, lout_mean=64, lin_cv=0.3, lout_cv=0.0)
+    limits = SimulationLimits(max_stages=600, warmup_stages=0)
+
+    def run(columnar: bool):
+        sim = ServingSimulator(
+            system, model, spec, max_batch=8, seed=0, warm_start=True, columnar=columnar
+        )
+        executor = sim.engine.executor
+        price_stage = executor.run_stage
+        mixed: list[bool] = []
+
+        def counting(workload):
+            mixed.append(workload.is_mixed)
+            return price_stage(workload)
+
+        executor.run_stage = counting
+        return sim.run(limits), mixed
+
+    report, mixed = run(columnar=True)
+    oracle_report, oracle_mixed = run(columnar=False)
+    assert report == oracle_report
+    assert len(oracle_mixed) == 600
+    assert mixed == [True] * sum(oracle_mixed), "a decode-only stage took the scalar path"

@@ -67,8 +67,9 @@ class TestClusterOfOneEqualsSimulator:
         replica_metrics = fleet.replicas[0].metrics
         assert solo_metrics._t2ft == replica_metrics._t2ft
         assert solo_metrics._e2e == replica_metrics._e2e
-        assert solo_metrics._tbt_hist == replica_metrics._tbt_hist
-        assert solo_metrics._tbt_count == replica_metrics._tbt_count
+        # TBT columns element by element, in record order.
+        assert solo_metrics._tbt_values.tolist() == replica_metrics._tbt_values.tolist()
+        assert solo_metrics._tbt_weights.tolist() == replica_metrics._tbt_weights.tolist()
 
     def test_every_report_field_matches(self):
         # Report every diverging field by name (debuggability when it breaks).

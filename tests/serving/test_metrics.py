@@ -1,5 +1,7 @@
 """Tests for serving metrics."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigError, SimulationError
 from repro.models.ops import OpCategory
-from repro.serving.metrics import MetricsCollector, weighted_percentile
+from repro.serving.metrics import _TBT_RECENT_MAXLEN, MetricsCollector, weighted_percentile
 
 
 class TestWeightedPercentile:
@@ -265,3 +267,113 @@ class TestCollector:
         collector = MetricsCollector()
         with pytest.raises(SimulationError):
             self._record_simple(collector, latency=0.0)
+
+
+class _ReferenceTbtStore:
+    """The dict-histogram plus bounded-deque TBT store, kept as an oracle."""
+
+    def __init__(self):
+        self.hist: dict[float, float] = {}
+        self.count = 0
+        self.recent: deque[tuple[float, float]] = deque(maxlen=_TBT_RECENT_MAXLEN)
+
+    def record(self, value: float, weight: float) -> None:
+        self.hist[value] = self.hist.get(value, 0.0) + weight
+        self.count += 1
+        self.recent.append((value, weight))
+
+    def merge(self, other: "_ReferenceTbtStore") -> None:
+        for value, weight in other.hist.items():
+            self.hist[value] = self.hist.get(value, 0.0) + weight
+        self.count += other.count
+        self.recent.extend(other.recent)
+
+    def percentiles(self) -> tuple[float, float, float]:
+        values = np.asarray(list(self.hist.keys()))
+        weights = np.asarray(list(self.hist.values()))
+        return tuple(weighted_percentile(values, weights, q) for q in (50, 90, 99))
+
+    def slo(self, slo_s: float) -> float:
+        values = np.asarray(list(self.hist.keys()))
+        weights = np.asarray(list(self.hist.values()))
+        return float(weights[values <= slo_s].sum() / weights.sum())
+
+    def since(self, cursor: int) -> tuple[list[float], list[float], int]:
+        gap = self.count - cursor
+        if gap <= 0:
+            return [], [], self.count
+        recent = list(self.recent)[-min(gap, len(self.recent)) :]
+        return [v for v, _ in recent], [w for _, w in recent], self.count
+
+
+class TestTbtColumnsMatchHistogram:
+    """The TBT sample columns answer exactly what a value histogram did."""
+
+    @staticmethod
+    def _fill(seed: int, n_stages: int):
+        rng = np.random.default_rng(seed)
+        collector = MetricsCollector()
+        reference = _ReferenceTbtStore()
+        # Few distinct latencies, so values repeat heavily across stages
+        # and runs; integer token weights as the engine records them.
+        palette = rng.uniform(0.001, 0.02, size=7)
+        done = 0
+        while done < n_stages:
+            tokens = int(rng.integers(1, 64))
+            if rng.random() < 0.5:
+                latency = float(palette[rng.integers(palette.size)])
+                collector.record_stage(
+                    latency_s=latency,
+                    is_mixed=False,
+                    decode_tokens=tokens,
+                    total_tokens_generated=tokens,
+                    dram_energy={},
+                    compute_energy={},
+                    comm_energy_j=0.0,
+                )
+                reference.record(latency, float(tokens))
+                done += 1
+                continue
+            run = palette[rng.integers(palette.size, size=int(rng.integers(1, 40)))]
+            collector.record_decode_run(
+                latencies=run,
+                decode_tokens=tokens,
+                energy_components=[],
+                comm_energy_per_stage_j=0.0,
+            )
+            for latency in run.tolist():
+                reference.record(latency, float(tokens))
+            done += run.size
+        return collector, reference, palette
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_report_slo_and_cursor_match_reference(self, seed):
+        collector, reference, palette = self._fill(seed, n_stages=1500)
+        report = collector.report()
+        assert (report.tbt_p50_s, report.tbt_p90_s, report.tbt_p99_s) == reference.percentiles()
+        for slo in sorted(palette.tolist()) + [0.0005, 0.05]:
+            assert collector.tbt_slo_attainment(slo) == reference.slo(slo)
+        total = reference.count
+        # Cursors inside, at and across the 512-sample cap.
+        for cursor in (0, 1, total - 1000, total - 513, total - 512, total - 511, total - 3,
+                       total, total + 5):
+            assert collector.tbt_samples_since(cursor) == reference.since(cursor)
+
+    def test_merged_matches_reference(self):
+        members = [self._fill(seed, n_stages=n) for seed, n in ((10, 700), (11, 300), (12, 40))]
+        fleet = MetricsCollector.merged([collector for collector, _, _ in members])
+        reference = _ReferenceTbtStore()
+        for _, member, _ in members:
+            reference.merge(member)
+        report = fleet.report()
+        assert (report.tbt_p50_s, report.tbt_p90_s, report.tbt_p99_s) == reference.percentiles()
+        assert fleet.tbt_slo_attainment(0.01) == reference.slo(0.01)
+        total = reference.count
+        for cursor in (0, total - 600, total - 512, total - 100, total):
+            assert fleet.tbt_samples_since(cursor) == reference.since(cursor)
+
+    def test_samples_keep_record_order(self):
+        collector, reference, _ = self._fill(5, n_stages=200)
+        values, weights, cursor = collector.tbt_samples_since(reference.count - 200)
+        assert cursor == reference.count
+        assert list(zip(values, weights, strict=True)) == list(reference.recent)[-200:]

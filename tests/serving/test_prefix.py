@@ -25,6 +25,9 @@ Four layers:
 
 from __future__ import annotations
 
+import copy
+import itertools
+
 import numpy as np
 import pytest
 
@@ -215,6 +218,97 @@ def test_index_invariants_under_interleaving(data):
     assert index.holder_count == 0
     assert index.evictable_tokens() == index.resident_tokens
     index.evict_cached(index.resident_tokens)
+    assert index.resident_tokens == 0
+
+
+def _path_of(node) -> tuple[int, ...]:
+    keys = []
+    while node.parent is not None:
+        keys.append(node.key)
+        node = node.parent
+    return tuple(reversed(keys))
+
+
+def _brute_force_lru(index: PrefixIndex, needed: int) -> list[tuple[int, ...]]:
+    """Victim paths of a full-tree LRU scan per victim, on a copy."""
+    twin = copy.deepcopy(index)
+    order: list[tuple[int, ...]] = []
+    freed = 0
+    while freed < needed:
+        victim = None
+        for node in _nodes(twin):
+            if node.refcount == 0 and not node.children and (
+                victim is None or node.touch < victim.touch
+            ):
+                victim = node
+        if victim is None:
+            break
+        order.append(_path_of(victim))
+        del victim.parent.children[victim.key]
+        victim.parent = None
+        freed += victim.tokens
+    return order
+
+
+#: A deeper catalog than PATHS: 3-way branching to depth 4, so eviction
+#: walks leaves inward through several levels and many siblings.
+DEEP_PATHS = tuple(
+    tuple((10 * depth + branch, 4 + branch + depth) for depth, branch in enumerate(route))
+    for length in range(1, 5)
+    for route in itertools.product(range(3), repeat=length)
+)
+
+
+@given(data=st.data())
+def test_evict_order_matches_brute_force_lru(data):
+    """The LRU heap evicts the same victims, in the same order, as a scan."""
+    cap = data.draw(st.sampled_from((None, 48, 96)), label="cap")
+    index = PrefixIndex(PrefixConfig(capacity_tokens=cap))
+    evicted: list[tuple[int, ...]] = []
+    expected: list[tuple[int, ...]] = []
+    real_remove = index._remove
+    real_evict = index.evict_cached
+    evicting = []
+
+    def logging_remove(node):
+        if evicting:
+            evicted.append(_path_of(node))
+        real_remove(node)
+
+    def checked_evict(needed):
+        # Acquire calls this too when the pool cap binds.
+        if needed > 0:
+            expected.extend(_brute_force_lru(index, needed))
+        evicting.append(True)
+        try:
+            return real_evict(needed)
+        finally:
+            evicting.pop()
+
+    index._remove = logging_remove
+    index.evict_cached = checked_evict
+    holders: list[int] = []
+    next_rid = 0
+    for _ in range(data.draw(st.integers(min_value=10, max_value=60), label="ops")):
+        op = data.draw(st.sampled_from(("acquire", "acquire", "commit", "release", "evict")))
+        if op == "acquire":
+            acq = index.acquire(next_rid, data.draw(st.sampled_from(DEEP_PATHS)))
+            if acq.shared_tokens:
+                holders.append(next_rid)
+            next_rid += 1
+        elif op == "commit" and holders:
+            index.commit(data.draw(st.sampled_from(holders)))
+        elif op == "release" and holders:
+            rid = data.draw(st.sampled_from(holders))
+            holders.remove(rid)
+            index.release(rid)
+        elif op == "evict":
+            index.evict_cached(data.draw(st.integers(min_value=1, max_value=80)))
+        assert evicted == expected
+    for rid in holders:
+        index.release(rid)
+    index.evict_cached(index.resident_tokens + 1)
+    assert evicted == expected
     assert index.resident_tokens == 0
 
 
