@@ -1,22 +1,22 @@
-"""Columnar serving-core primitives: struct-of-arrays request state
+"""Columnar serving-core primitives: the running batch as struct-of-arrays
 and the calendar-queue/heap event clock.
 
-The serving hot loop spends most of its wall clock on per-request Python
-objects (attribute chases, one ``advance_decode`` call per request per
-stage) and on linear scans for the next pending event.  This module
-holds the two data structures that replace those costs:
+The serving hot loop used to spend most of its wall clock on per-request
+Python objects (attribute chases, one decode step per request per stage)
+and on linear scans for the next pending event.  This module holds the
+two data structures that replace those costs:
 
-* :class:`RequestTable` — a struct-of-arrays store of in-flight request
-  state (phase, context/emitted tokens, output budget, KV residency,
-  arrival and deadline) in preallocated numpy columns with a free-list.
-  The scheduler registers a row per admitted request and frees it on
-  release; the steady-decode fast path reads ``min_remaining`` (how many
-  decode stages until the *first* completion) and advances the whole
-  batch with one vector add instead of per-object mutation.  The
-  :class:`~repro.serving.request.Request` objects stay authoritative for
-  every scalar code path — the table refreshes its dynamic columns
-  lazily (``refresh``) whenever a scalar stage has touched the batch, so
-  policies, routers, and paging hooks keep their object API unchanged.
+* :class:`RequestTable` — a scheduler's running batch, one dense row per
+  request in batch order (row ``i`` is ``running[i]``), with the decode
+  progress (context, emitted tokens), the output budget and the phase
+  (decoding or not) in preallocated numpy columns.  The table is the authoritative store of
+  that progress: a running request's ``context_len`` and
+  ``tokens_generated`` read and write its row, and the row's values are
+  written back to the object when it leaves the batch.  A decode stage
+  (or a whole steady run) is one vector add over a column slice, and the
+  completions are the rows where ``tokens_generated >= output_len``.
+  Admission and paging landings append rows; completions, evictions and
+  releases compact them without reordering.
 
 * :class:`EventClock` — a pending-event index with lazy cancellation,
   replacing linear next-event scans.  Two equivalent backends: a binary
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -38,174 +38,107 @@ from repro.serving.request import Request, RequestState
 
 __all__ = ["EventClock", "RequestTable"]
 
-#: Phase codes of the ``phase`` column (RequestState is not orderable).
-PHASE_CODES: dict[RequestState, int] = {state: i for i, state in enumerate(RequestState)}
-
 
 class RequestTable:
-    """Struct-of-arrays mirror of a scheduler's in-flight requests.
+    """A scheduler's running batch, one dense row per request.
 
-    Rows live in preallocated numpy columns; a LIFO free-list recycles
-    slots so a steady-state batch churns through the same rows without
-    reallocating.  Static columns (lengths, arrival, deadline) are
-    written once at registration; dynamic columns (phase, context,
-    emitted tokens, KV residency) are refreshed in bulk from the object
-    layer right before a vectorized decode run and advanced columnar
-    afterwards.
+    ``rows`` is the batch itself (the scheduler's ``running`` list): row
+    ``i`` holds ``rows[i]``, and each request knows its row index.  The
+    columns are views of one preallocated ``(4, max_batch)`` block, so
+    advancing progress and compacting rows are single numpy calls.  The
+    phase column ``decoding`` is 1 while a row decodes and 0 while it
+    prefills: it is the per-row step of a mixed stage and, as a mask,
+    selects that stage's decode contexts.
 
     Args:
-        capacity: initial row count (grows by doubling when exceeded).
+        max_batch: row capacity; appending beyond it is a scheduling bug.
     """
 
-    def __init__(self, capacity: int = 64) -> None:
-        if capacity < 1:
-            raise ConfigError("RequestTable capacity must be at least 1")
-        self._capacity = capacity
-        self._allocate(capacity)
-        self._free: list[int] = list(range(capacity - 1, -1, -1))
-        self._slots: dict[int, int] = {}
-        #: True when a scalar code path may have mutated request state
-        #: since the dynamic columns were last refreshed.
-        self.dirty = True
-        self._run_slots: np.ndarray = np.empty(0, dtype=np.int64)
+    def __init__(self, max_batch: int) -> None:
+        if max_batch < 1:
+            raise ConfigError("RequestTable needs room for at least one request")
+        self.max_batch = max_batch
+        self.rows: list[Request] = []
+        self._block = np.zeros((4, max_batch), dtype=np.int64)
+        self.context_len, self.tokens_generated, self.output_len, self.decoding = self._block
+        #: (context, emitted) rows: one decode step adds to both.
+        self._progress = self._block[:2]
 
-    def _allocate(self, capacity: int) -> None:
-        self.request_id = np.full(capacity, -1, dtype=np.int64)
-        self.phase = np.zeros(capacity, dtype=np.int8)
-        self.context_len = np.zeros(capacity, dtype=np.int64)
-        self.tokens_generated = np.zeros(capacity, dtype=np.int64)
-        self.input_len = np.zeros(capacity, dtype=np.int64)
-        self.output_len = np.zeros(capacity, dtype=np.int64)
-        self.total_seq_len = np.zeros(capacity, dtype=np.int64)
-        self.arrival_s = np.zeros(capacity, dtype=np.float64)
-        self.deadline_s = np.full(capacity, np.nan, dtype=np.float64)
-        self.kv_resident = np.zeros(capacity, dtype=bool)
-
-    def _grow(self) -> None:
-        old = self._capacity
-        new = old * 2
-        for name in (
-            "request_id",
-            "phase",
-            "context_len",
-            "tokens_generated",
-            "input_len",
-            "output_len",
-            "total_seq_len",
-            "arrival_s",
-            "deadline_s",
-            "kv_resident",
-        ):
-            column = getattr(self, name)
-            grown = np.empty(new, dtype=column.dtype)
-            grown[:old] = column
-            if name == "request_id":
-                grown[old:] = -1
-            elif name == "deadline_s":
-                grown[old:] = np.nan
-            else:
-                grown[old:] = 0
-            setattr(self, name, grown)
-        self._free.extend(range(new - 1, old - 1, -1))
-        self._capacity = new
-
-    # ------------------------------------------------------------------
-    # membership
-    # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._slots)
+        return len(self.rows)
 
-    def __contains__(self, request_id: int) -> bool:
-        return request_id in self._slots
+    def row_of(self, request: Request) -> int:
+        """Row of a request in the table."""
+        if request._table is not self:
+            raise SchedulingError(f"request {request.request_id} holds no row here")
+        return request._row
 
-    @property
-    def capacity(self) -> int:
-        return self._capacity
-
-    def slot_of(self, request_id: int) -> int:
-        return self._slots[request_id]
-
-    def add(self, request: Request) -> int:
-        """Register one in-flight request; returns its row slot."""
-        if request.request_id in self._slots:
+    def append(self, request: Request) -> None:
+        """Give ``request`` the next row; its progress now lives there."""
+        if request._table is not None:
+            raise SchedulingError(f"request {request.request_id} already holds a table row")
+        row = len(self.rows)
+        if row >= self.max_batch:
             raise SchedulingError(
-                f"request {request.request_id} is already registered in the table"
+                f"request {request.request_id} would exceed the batch of {self.max_batch}"
             )
-        if not self._free:
-            self._grow()
-        slot = self._free.pop()
-        self._slots[request.request_id] = slot
-        self.request_id[slot] = request.request_id
-        self.phase[slot] = PHASE_CODES[request.state]
-        self.context_len[slot] = request.context_len
-        self.tokens_generated[slot] = request.tokens_generated
-        self.input_len[slot] = request.input_len
-        self.output_len[slot] = request.output_len
-        self.total_seq_len[slot] = request.total_seq_len
-        self.arrival_s[slot] = request.arrival_time_s
-        self.deadline_s[slot] = (
-            request.t2ft_slo_s if request.t2ft_slo_s is not None else np.nan
-        )
-        self.kv_resident[slot] = True
-        return slot
+        self.context_len[row] = request.context_len
+        self.tokens_generated[row] = request.tokens_generated
+        self.output_len[row] = request.output_len
+        self.decoding[row] = request.state is RequestState.DECODING
+        self.rows.append(request)
+        request._table = self
+        request._row = row
 
-    def free(self, request_id: int) -> None:
-        """Release one request's row back to the free-list."""
-        slot = self._slots.pop(request_id, None)
-        if slot is None:
-            return
-        self.request_id[slot] = -1
-        self.kv_resident[slot] = False
-        self._free.append(slot)
+    def remove(self, rows: list[int]) -> list[Request]:
+        """Drop ``rows`` (ascending), keeping the survivors' order.
 
-    def set_residency(self, request_id: int, resident: bool) -> None:
-        """Flip the KV-residency flag (paging evict/resume bookkeeping)."""
-        slot = self._slots.get(request_id)
-        if slot is not None:
-            self.kv_resident[slot] = resident
-
-    # ------------------------------------------------------------------
-    # the columnar hot path
-    # ------------------------------------------------------------------
-    def refresh(self, running: Sequence[Request]) -> np.ndarray:
-        """Resync dynamic columns from the object layer.
-
-        Returns the slot indices of ``running`` in batch order (also
-        cached for :meth:`min_remaining` / :meth:`advance_decode`).
-        Cheap no-op when nothing scalar has run since the last refresh.
+        Each leaving request gets its row's progress written back.
+        Returns the removed requests in row order.
         """
-        slots = np.fromiter(
-            (self._slots[r.request_id] for r in running),
-            dtype=np.int64,
-            count=len(running),
-        )
-        self._run_slots = slots
-        if self.dirty:
-            self.phase[slots] = np.fromiter(
-                (PHASE_CODES[r.state] for r in running), dtype=np.int8, count=len(running)
-            )
-            self.context_len[slots] = np.fromiter(
-                (r.context_len for r in running), dtype=np.int64, count=len(running)
-            )
-            self.tokens_generated[slots] = np.fromiter(
-                (r.tokens_generated for r in running), dtype=np.int64, count=len(running)
-            )
-            self.dirty = False
-        return slots
+        if not rows:
+            return []
+        block = self._block
+        n = len(self.rows)
+        removed: list[Request] = []
+        for row in reversed(rows):
+            request = self.rows.pop(row)
+            request._table = None
+            request._context_len = block.item(0, row)
+            request._tokens_generated = block.item(1, row)
+            removed.append(request)
+            if row < n - 1:
+                block[:, row : n - 1] = block[:, row + 1 : n]
+            n -= 1
+        for row in range(rows[0], n):
+            self.rows[row]._row = row
+        removed.reverse()
+        return removed
 
-    def min_remaining(self) -> int:
-        """Decode stages until the first refreshed request completes."""
-        slots = self._run_slots
-        if slots.size == 0:
-            return 0
-        remaining = self.output_len[slots] - self.tokens_generated[slots]
-        return int(remaining.min())
+    def start_decoding(self, request: Request) -> None:
+        """A row's prefill completed: the whole input is its context, one
+        token is out, and it decodes from the next stage on."""
+        row = self.row_of(request)
+        self.context_len[row] = request.input_len
+        self.tokens_generated[row] = 1
+        self.decoding[row] = 1
 
-    def advance_decode(self, n: int) -> None:
-        """Advance every refreshed row by ``n`` decode stages, columnar."""
-        slots = self._run_slots
-        self.context_len[slots] += n
-        self.tokens_generated[slots] += n
+    def advance(self, n_stages: int) -> None:
+        """Every row emits ``n_stages`` more tokens."""
+        progress = self._progress[:, : len(self.rows)]
+        progress += n_stages
+
+    def advance_decoding(self) -> None:
+        """One stage: each decoding row emits a token, prefilling rows
+        stay put (the phase column is the per-row step)."""
+        n = len(self.rows)
+        progress = self._progress[:, :n]
+        progress += self.decoding[:n]
+
+    def done_rows(self) -> list[int]:
+        """Rows whose output budget is spent, ascending."""
+        n = len(self.rows)
+        return np.flatnonzero(self.tokens_generated[:n] >= self.output_len[:n]).tolist()
 
 
 class EventClock:

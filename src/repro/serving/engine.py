@@ -645,16 +645,16 @@ class ServingEngine:
         workload = scheduler.build_stage(admit=admit)
         if workload is None:
             return False
-        # The scheduler partitioned the batch while building the stage; no
-        # re-filtering of `running` per stage.
-        decoding, prefilling = scheduler.stage_partitions
+        prefilling = scheduler.stage_prefilling
         observing = bool(self.observers)
         if observing:
             # Attribute every admission since the last stage event to this
             # one — including admissions made outside step() (warm start,
             # the split prefill partition's decode-time admit()).
             admitted = tuple(scheduler.admitted_log[self._admitted_seen :])
-            decode_ids = tuple(r.request_id for r in decoding)
+            decode_ids = tuple(
+                r.request_id for r in scheduler.running if r.state is RequestState.DECODING
+            )
             chunks = tuple(scheduler.pending_chunks.items())
         self._admitted_seen = len(scheduler.admitted_log)
         preempted, resumed = scheduler.drain_paging_events()
@@ -812,7 +812,7 @@ class ServingEngine:
         # Disqualify incapable executors before touching the scheduler:
         # memoized pricing quantizes compositions (price_decode_run would
         # return None anyway), and the threshold/min-remaining probes below
-        # cost a table refresh — too much to pay on every scalar step.
+        # are not free — too much to pay on every scalar step.
         price_run = getattr(self.executor, "price_decode_run", None)
         if price_run is None or getattr(self.executor, "memoize", False):
             return None

@@ -36,6 +36,20 @@ _DRAM_KEYS = {category: f"{category.value}:dram" for category in OpCategory}
 _COMPUTE_KEYS = {category: f"{category.value}:compute" for category in OpCategory}
 
 
+def exact_median(values: Sequence[float]) -> float:
+    """Median of a non-empty sample, bit-identical to ``np.median``.
+
+    The middle element, or the mean of the two middle ones.  Sorting
+    in Python avoids the lazy ``numpy.ma`` import ``np.median`` pulls
+    in on first use (about 1 MB of a short simulation's peak memory).
+    """
+    ordered = sorted(values)
+    middle = len(ordered) // 2
+    if len(ordered) % 2:
+        return float(ordered[middle])
+    return float((ordered[middle - 1] + ordered[middle]) / 2.0)
+
+
 def weighted_percentile(values: np.ndarray, weights: np.ndarray, q: float) -> float:
     """Percentile ``q`` (0-100) of a weighted sample.
 
@@ -714,8 +728,8 @@ class MetricsCollector:
             e2e = self._tenant_e2e.get(name, [])
             entry: dict[str, float] = {
                 "requests_completed": float(len(e2e)),
-                "t2ft_p50_s": float(np.median(t2ft)) if t2ft else 0.0,
-                "e2e_p50_s": float(np.median(e2e)) if e2e else 0.0,
+                "t2ft_p50_s": exact_median(t2ft) if t2ft else 0.0,
+                "e2e_p50_s": exact_median(e2e) if e2e else 0.0,
             }
             total = self._tenant_t2ft_slo_total.get(name, 0)
             if total:
@@ -751,8 +765,8 @@ class MetricsCollector:
             tbt_p50_s=tbt_p50,
             tbt_p90_s=tbt_p90,
             tbt_p99_s=tbt_p99,
-            t2ft_p50_s=float(np.median(self._t2ft)) if self._t2ft else 0.0,
-            e2e_p50_s=float(np.median(self._e2e)) if self._e2e else 0.0,
+            t2ft_p50_s=exact_median(self._t2ft) if self._t2ft else 0.0,
+            e2e_p50_s=exact_median(self._e2e) if self._e2e else 0.0,
             decoding_only_stage_ratio=1.0 - self._stages_mixed / self._stages_total,
             energy_per_token_j=total_energy / self._tokens if self._tokens else 0.0,
             energy_by_component=dict(self._energy_by_component),

@@ -15,8 +15,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigError, SchedulingError
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
+    from repro.serving.columnar import RequestTable
 
 
 class RequestState(enum.Enum):
@@ -66,8 +70,8 @@ class Request:
     tenant: str | None = None
     t2ft_slo_s: float | None = None
     state: RequestState = RequestState.QUEUED
-    context_len: int = 0
-    tokens_generated: int = 0
+    _context_len: int = field(default=0, init=False, repr=False)
+    _tokens_generated: int = field(default=0, init=False, repr=False)
     prefilled_tokens: int = 0
     first_token_time_s: float | None = field(default=None, repr=False)
     completion_time_s: float | None = field(default=None, repr=False)
@@ -76,6 +80,10 @@ class Request:
     prefix_blocks: tuple[tuple[int, int], ...] | None = field(default=None, repr=False)
     prefix_shared_tokens: int = field(default=0, repr=False)
     prefix_hit_tokens: int = field(default=0, repr=False)
+    #: The scheduler table holding this request's row ``_row`` while it
+    #: runs (None otherwise); the row is then the store of its progress.
+    _table: "RequestTable | None" = field(default=None, init=False, repr=False, compare=False)
+    _row: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.input_len < 1 or self.output_len < 1:
@@ -104,13 +112,8 @@ class Request:
         """The prefill stage produced the first output token."""
         if self.state is not RequestState.PREFILLING:
             raise SchedulingError(f"request {self.request_id}: finish_prefill from {self.state}")
-        self.state = RequestState.DECODING
         self.prefilled_tokens = self.input_len
-        self.context_len = self.input_len
-        self.tokens_generated = 1
-        self.first_token_time_s = now_s
-        if self.is_complete:
-            self.finish(now_s)
+        self._start_decoding(now_s)
 
     def advance_prefill(self, chunk_tokens: int, now_s: float) -> None:
         """One stage processed ``chunk_tokens`` of the input (chunked prefill).
@@ -127,12 +130,19 @@ class Request:
             )
         self.prefilled_tokens += chunk_tokens
         if self.prefilled_tokens >= self.input_len:
-            self.state = RequestState.DECODING
-            self.context_len = self.input_len
-            self.tokens_generated = 1
-            self.first_token_time_s = now_s
-            if self.is_complete:
-                self.finish(now_s)
+            self._start_decoding(now_s)
+
+    def _start_decoding(self, now_s: float) -> None:
+        """The whole input is cached and the first output token is out."""
+        self.state = RequestState.DECODING
+        self.first_token_time_s = now_s
+        if self._table is None:
+            self._context_len = self.input_len
+            self._tokens_generated = 1
+        else:
+            self._table.start_decoding(self)
+        if self.output_len <= 1:
+            self.finish(now_s)
 
     def advance_decode(self, now_s: float) -> None:
         """One decoding stage produced one more token."""
@@ -173,6 +183,41 @@ class Request:
         # died with the old placement, so the next admission renegotiates.
         self.prefix_shared_tokens = 0
         self.prefix_hit_tokens = 0
+
+    # ------------------------------------------------------------------
+    # decode progress (read through to the scheduler's table row)
+    # ------------------------------------------------------------------
+    @property
+    def context_len(self) -> int:
+        """Tokens in the request's KV cache (its attention context)."""
+        table = self._table
+        if table is None:
+            return self._context_len
+        return table.context_len.item(self._row)
+
+    @context_len.setter
+    def context_len(self, value: int) -> None:
+        table = self._table
+        if table is None:
+            self._context_len = value
+        else:
+            table.context_len[self._row] = value
+
+    @property
+    def tokens_generated(self) -> int:
+        """Output tokens emitted so far."""
+        table = self._table
+        if table is None:
+            return self._tokens_generated
+        return table.tokens_generated.item(self._row)
+
+    @tokens_generated.setter
+    def tokens_generated(self, value: int) -> None:
+        table = self._table
+        if table is None:
+            self._tokens_generated = value
+        else:
+            table.tokens_generated[self._row] = value
 
     # ------------------------------------------------------------------
     # derived quantities

@@ -8,6 +8,8 @@ admit the stage is *decoding-only*.  The admission *decisions* — order,
 eligibility, shedding, and the per-stage prefill budget — are delegated to
 a pluggable :class:`~repro.serving.policy.SchedulingPolicy`; the scheduler
 keeps the mechanics (KV accounting, chunk bookkeeping, the stage clock).
+The running batch lives in a :class:`~repro.serving.columnar.RequestTable`,
+so a stage advances every decoding request with one vector add.
 
 :class:`StaticBatchingScheduler` is the request-level baseline of Fig. 2(a):
 a batch runs prefill together and decodes until the longest member finishes;
@@ -30,6 +32,9 @@ from repro.serving.request import Request, RequestState
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.serving.engine import KvPagingCoordinator
+
+#: "No completion due" for the stages-until-done bound.
+_NEVER = 1 << 62
 
 
 class ContinuousBatchingScheduler:
@@ -94,7 +99,10 @@ class ContinuousBatchingScheduler:
         self._stage_preempted: list[int] = []
         self._stage_resumed: list[int] = []
         self.now_s = 0.0
-        self.running: list[Request] = []
+        #: The running batch: one table row per request, in batch order.
+        #: ``running`` is the table's row list (never rebound).
+        self.table = RequestTable(max_batch)
+        self.running: list[Request] = self.table.rows
         self.waiting: list[Request] = []
         self.rejected: list[Request] = []
         #: Request ids in admission order (shed/complete bookkeeping for
@@ -102,22 +110,20 @@ class ContinuousBatchingScheduler:
         self.admitted_log: list[int] = []
         self._committed_tokens = 0
         self._stage_chunks: dict[int, int] = {}
-        self._stage_decoding: list[Request] = []
-        self._stage_prefilling: list[Request] = []
-        # Steady-decode fast path.  ``_steady``: every running request
-        # decodes (set when a stage or run completes with no prefill left;
-        # any admission, landing, preemption or handoff clears it), so a
-        # steady run may arm straight from the batch.  ``_steady_ctx``: the
-        # contexts of the last built stage while the membership is
-        # unchanged — the next stage is that vector plus one, with no
-        # re-partitioning or per-request rebuild.  None (after a
-        # completion or a mixed stage) rebuilds it from the table.
-        self._steady = False
-        self._steady_ctx: np.ndarray | None = None
-        #: Struct-of-arrays mirror of the in-flight batch (columnar core).
-        #: Rows are registered on admission and freed on exit; dynamic
-        #: columns resync lazily whenever a scalar stage dirtied them.
-        self.table = RequestTable(capacity=max(2 * max_batch, 8))
+        # The prefilling requests in batch order: the only rows a stage
+        # touches one by one.  Empty means the whole batch decodes.  Never
+        # mutated in place once a stage is built (completion rebinds it).
+        self._prefilling: list[Request] = []
+        # Lower bound on decode stages until some row's output budget runs
+        # out; the table is searched for completions only when it hits 0.
+        self._done_in = _NEVER
+        # Under a full batch, admission only moves arrivals into `waiting`
+        # unless the policy sheds or reorders that queue.
+        policy_type = type(self.policy)
+        self._queue_inert_when_full = (
+            policy_type.shed is SchedulingPolicy.shed
+            and policy_type.order_waiting is SchedulingPolicy.order_waiting
+        )
 
     # ------------------------------------------------------------------
     # stage construction
@@ -139,40 +145,14 @@ class ContinuousBatchingScheduler:
         if admit:
             self.admit()
         self._stage_chunks = {}
-        if self._steady and self._steady_ctx is not None and self.running:
-            # Same membership as the last stage, all decoding: contexts are
-            # the previous vector plus one token each (bit-identical to the
-            # rebuilt array — complete_stage advanced every request by one).
-            decode_ctx = self._steady_ctx + 1
-            self._steady_ctx = decode_ctx
-            self._stage_decoding = self.running
-            self._stage_prefilling = []
-            return StageWorkload.trusted(decode_ctx)
-        decoding: list[Request] = []
-        prefilling: list[Request] = []
-        self._stage_decoding = decoding
-        self._stage_prefilling = prefilling
-        if not self.running:
-            self._steady = False
-            self._steady_ctx = None
-            return None
-        # One pass over the batch partitions it by state (the engine reuses
-        # the partitions instead of re-filtering the batch per stage).
-        for request in self.running:
-            state = request.state
-            if state is RequestState.DECODING:
-                decoding.append(request)
-            elif state is RequestState.PREFILLING:
-                prefilling.append(request)
-        decode_ctx = np.array([r.context_len for r in decoding], dtype=np.int64)
-        if prefilling:
-            self._steady = False
-            self._steady_ctx = None
-        else:
-            # Candidate for the fast path: if this stage completes with no
-            # exits, the next one is this composition shifted by +1.
-            self._steady = True
-            self._steady_ctx = decode_ctx
+        table = self.table
+        n = len(self.running)
+        prefilling = self._prefilling
+        if not prefilling:
+            if not n:
+                return None
+            return StageWorkload.trusted(table.context_len[:n].copy())
+        decode_ctx = table.context_len[:n].compress(table.decoding[:n])
         prefill_lengths: list[int] = []
         prefill_contexts: list[int] = []
         budget = self.policy.prefill_budget()
@@ -297,14 +277,28 @@ class ContinuousBatchingScheduler:
                     candidate.prefilled_tokens = hit_eff
                 declared = sum(count for _, count in candidate.prefix_blocks)
                 self._prefix_admissions.append((hit_eff, declared - hit_eff))
-            self.running.append(candidate)
+            self._enter(candidate)
             self.admitted_log.append(candidate.request_id)
-            self.table.add(candidate)
             self._committed_tokens += tokens
             if self.paging is not None:
                 self.paging.on_admit(candidate)
-            self._steady = False
-            self._steady_ctx = None
+
+    def _enter(self, request: Request) -> None:
+        """Give an admitted or landed request its row at the batch's end."""
+        if request.state is RequestState.PREFILLING:
+            self._prefilling.append(request)
+        else:
+            remaining = request.output_len - request.tokens_generated
+            self._done_in = min(self._done_in, remaining)
+        self.table.append(request)
+
+    def _leave(self, requests: list[Request]) -> None:
+        """Take preempted or released requests out of the batch."""
+        table = self.table
+        table.remove(sorted(table.row_of(request) for request in requests))
+        if self._prefilling:
+            gone = {id(request) for request in requests}
+            self._prefilling = [r for r in self._prefilling if id(r) not in gone]
 
     # ------------------------------------------------------------------
     # KV paging (evict / resume under memory pressure)
@@ -320,15 +314,12 @@ class ContinuousBatchingScheduler:
         paging = self.paging
         assert paging is not None
         for request in paging.take_ready(self.now_s):
-            self.running.append(request)
-            self.table.add(request)
+            self._enter(request)
             if self.prefix is not None and request.prefix_shared_tokens:
                 # The landing carried the resume replay (if any): every
                 # pool block on the request's path is computed again.
                 self.prefix.commit(request.request_id)
             self._stage_resumed.append(request.request_id)
-            self._steady = False
-            self._steady_ctx = None
         assert self.capacity_tokens is not None
         while True:
             head = paging.peek_parked()
@@ -410,7 +401,6 @@ class ContinuousBatchingScheduler:
         for request_id in victim_ids:
             victim = by_id[request_id]
             paging.evict(victim, self.now_s)
-            self.table.free(request_id)
             self._committed_tokens -= victim.unique_seq_len
             if self.prefix is not None:
                 # The victim's pool pins drop with it: once the last
@@ -421,8 +411,7 @@ class ContinuousBatchingScheduler:
                 self.prefix.forget(request_id)
             self._stage_preempted.append(request_id)
         if victim_ids:
-            evicted = set(victim_ids)
-            self.running[:] = [r for r in self.running if r.request_id not in evicted]
+            self._leave([by_id[request_id] for request_id in victim_ids])
             if self.prefix is not None:
                 shortfall = needed_tokens - (
                     self.capacity_tokens
@@ -430,8 +419,6 @@ class ContinuousBatchingScheduler:
                     - self.prefix.resident_tokens
                 )
                 self.prefix.evict_cached(shortfall)
-            self._steady = False
-            self._steady_ctx = None
         return True
 
     def _pick_prefix_victims(self, needed_tokens: int, order: list[int]) -> list[int] | None:
@@ -525,67 +512,69 @@ class ContinuousBatchingScheduler:
             raise SchedulingError("stage latency must be positive")
         if not self.running:
             raise SchedulingError("no stage in flight")
-        self.table.dirty = True
         self.now_s += latency_s
-        now_s = self.now_s
-        finished: list[Request] = []
-        still_running: list[Request] = []
-        chunks = self._stage_chunks
-        prefilling_left = False
-        for request in self.running:
-            state = request.state
-            if state is RequestState.DECODING:
-                # Inlined Request.advance_decode (state already verified):
-                # one attribute-level step per running request per stage is
-                # the scheduler's hottest loop.
-                request.context_len += 1
-                generated = request.tokens_generated + 1
-                request.tokens_generated = generated
-                if generated >= request.output_len:
-                    request.finish(now_s)
-                    finished.append(request)
-                    self._committed_tokens -= request.unique_seq_len
-                else:
-                    still_running.append(request)
-                continue
-            if state is RequestState.PREFILLING:
-                chunk = chunks.get(request.request_id)
-                if chunk is None:
-                    still_running.append(request)  # waited out this stage's budget
-                    prefilling_left = True
-                    continue
-                request.advance_prefill(chunk, now_s)
-                if (
-                    self.prefix is not None
-                    and request.prefix_shared_tokens
-                    and request.state is not RequestState.PREFILLING
-                ):
-                    # Prefill done: the KV for the request's pending pool
-                    # blocks now exists — they become hit-able.
-                    self.prefix.commit(request.request_id)
-            else:
-                raise SchedulingError(f"request {request.request_id} in state {request.state}")
-            if request.state is RequestState.FINISHED:
-                finished.append(request)
-                self._committed_tokens -= request.unique_seq_len
-            else:
-                still_running.append(request)
-                prefilling_left = prefilling_left or request.state is RequestState.PREFILLING
-        self.running = still_running
+        prefilling = self._prefilling
+        if not prefilling:
+            self.table.advance(1)
+        elif len(prefilling) < len(self.running):
+            self.table.advance_decoding()
+        self._done_in -= 1
+        if prefilling:
+            self._advance_prefills(self.now_s)
         self._stage_chunks = {}
-        if finished:
+        if self._done_in > 0:
+            return []
+        return self._finish_done(self.now_s)
+
+    def _advance_prefills(self, now_s: float) -> None:
+        """Apply this stage's prefill chunks, request by request."""
+        chunks = self._stage_chunks
+        still: list[Request] = []
+        for request in self._prefilling:
+            chunk = chunks.get(request.request_id)
+            if chunk is None:
+                still.append(request)  # waited out this stage's budget
+                continue
+            request.advance_prefill(chunk, now_s)
+            state = request.state
+            if state is RequestState.PREFILLING:
+                still.append(request)
+                continue
+            if self.prefix is not None and request.prefix_shared_tokens:
+                # Prefill done: the KV for the request's pending pool
+                # blocks now exists — they become hit-able.
+                self.prefix.commit(request.request_id)
+            if state is RequestState.DECODING:
+                self._done_in = min(self._done_in, request.output_len - 1)
+            else:
+                self._done_in = 0  # a one-token output finished at prefill
+        self._prefilling = still
+
+    def _finish_done(self, now_s: float) -> list[Request]:
+        """Retire the rows whose output budget ran out, in batch order."""
+        table = self.table
+        finished = table.remove(table.done_rows())
+        for request in finished:
+            if request.state is not RequestState.FINISHED:
+                request.finish(now_s)
+            self._committed_tokens -= request.unique_seq_len
+            if self.prefix is not None:
+                # Unpin; ready blocks stay cached for the next turn.
+                self.prefix.forget(request.request_id)
+        if self.paging is not None:
             for request in finished:
-                self.table.free(request.request_id)
-                if self.prefix is not None:
-                    # Unpin; ready blocks stay cached for the next turn.
-                    self.prefix.forget(request.request_id)
-            if self.paging is not None:
-                for request in finished:
-                    self.paging.on_release(request)
-            self._steady_ctx = None
-        # Every survivor decodes: a steady run may arm from the batch as is.
-        self._steady = not prefilling_left
+                self.paging.on_release(request)
+        self._done_in = self._fewest_remaining()
         return finished
+
+    def _fewest_remaining(self) -> int:
+        """Fewest output tokens a running request still owes (exact when
+        every row decodes; prefilling rows only lower it)."""
+        n = len(self.running)
+        if not n:
+            return _NEVER
+        table = self.table
+        return int((table.output_len[:n] - table.tokens_generated[:n]).min())
 
     # ------------------------------------------------------------------
     # steady-decode runs (the columnar fast path)
@@ -594,10 +583,10 @@ class ContinuousBatchingScheduler:
         """Latest-exclusive start time up to which decode stages are steady.
 
         A *steady run* is a sequence of stages over which admission is a
-        guaranteed no-op: the whole batch decodes, nothing is waiting, and
-        no arrival, paging landing, or parked-resume can change membership
-        before the returned instant.  Returns None when the next stage is
-        not provably steady (the engine falls back to one scalar stage);
+        guaranteed no-op: the whole batch decodes and no arrival, paging
+        landing, or parked-resume can change membership before the
+        returned instant.  Returns None when the next stage is not
+        provably steady (the engine falls back to one scalar stage);
         otherwise every stage whose *start* time is strictly before the
         threshold is safe to collapse into a vectorized run.
 
@@ -605,16 +594,22 @@ class ContinuousBatchingScheduler:
         time-invariant: a full batch stays full and an over-capacity
         parked head stays parked until the first completion — and runs
         are capped at ``min_remaining`` so completions only ever land on
-        a run's final stage.
+        a run's final stage.  While the batch is full and the policy
+        neither sheds nor reorders the queue, arrivals would only move
+        into ``waiting``; they wait in the source instead, so neither a
+        waiting queue nor the next arrival bounds the run.
         """
-        if not self._steady or not self.running or self.waiting:
+        if self._prefilling or not self.running:
             return None
         paging = self.paging
-        threshold = float("inf")
         batch_full = (
             len(self.running) + (paging.in_transit_count if paging is not None else 0)
             >= self.max_batch
         )
+        queue_inert = batch_full and self._queue_inert_when_full
+        if self.waiting and not queue_inert:
+            return None
+        threshold = float("inf")
         if paging is not None:
             head = paging.peek_parked()
             if head is not None and not batch_full and self._parked_head_fits(head):
@@ -626,28 +621,20 @@ class ContinuousBatchingScheduler:
             # full, and then with no time bound from arrivals.
             if not batch_full:
                 return None
-        else:
+        elif not queue_inert:
             threshold = min(threshold, self.source.peek_arrival())
         return threshold
 
     def steady_context_base(self) -> np.ndarray:
-        """Context-length vector of the last built stage (run stage k
-        prices at ``base + k``, 1-based).
-
-        After a membership change no stage has been built for the current
-        batch; the base is then the refreshed contexts minus one, the
-        vector a scalar stage built now would have advanced from.
-        """
-        if self._steady_ctx is None:
-            table = self.table
-            self._steady_ctx = table.context_len[table.refresh(self.running)] - 1
-        return self._steady_ctx
+        """Context-length vector of the last stage (run stage k prices at
+        ``base + k``, 1-based): the batch's contexts minus one."""
+        return self.table.context_len[: len(self.running)] - 1
 
     def steady_min_remaining(self) -> int:
-        """Decode stages until the first in-batch completion (resyncs the
-        columnar table for the run about to be committed)."""
-        self.table.refresh(self.running)
-        return self.table.min_remaining()
+        """Decode stages until the first in-batch completion."""
+        remaining = self._fewest_remaining()
+        self._done_in = remaining
+        return remaining
 
     def commit_steady_run(self, n_stages: int, final_now_s: float) -> list[Request]:
         """Apply ``n_stages`` collapsed decode stages in one mutation.
@@ -659,38 +646,12 @@ class ContinuousBatchingScheduler:
         order, exactly as the scalar loop would have finished them on the
         run's last stage.
         """
-        ctx = self._steady_ctx
-        assert ctx is not None
         self.now_s = final_now_s
-        # Columnar first (refresh reads the pre-run object state), then the
-        # object layer in one pass — columns and objects land identical.
-        self.table.refresh(self.running)
-        self.table.advance_decode(n_stages)
-        finished: list[Request] = []
-        still_running: list[Request] = []
-        for request in self.running:
-            request.context_len += n_stages
-            generated = request.tokens_generated + n_stages
-            request.tokens_generated = generated
-            if generated >= request.output_len:
-                request.finish(final_now_s)
-                finished.append(request)
-                self._committed_tokens -= request.unique_seq_len
-            else:
-                still_running.append(request)
-        self.running = still_running
-        if finished:
-            for request in finished:
-                self.table.free(request.request_id)
-                if self.prefix is not None:
-                    self.prefix.forget(request.request_id)
-            if self.paging is not None:
-                for request in finished:
-                    self.paging.on_release(request)
-            self._steady_ctx = None
-        else:
-            self._steady_ctx = ctx + n_stages
-        return finished
+        self.table.advance(n_stages)
+        self._done_in -= n_stages
+        if self._done_in > 0:
+            return []
+        return self._finish_done(final_now_s)
 
     def uncommit(self, request: Request) -> None:
         """Drop the KV reservation of a mid-resume request (crash harvest).
@@ -709,15 +670,12 @@ class ContinuousBatchingScheduler:
         decode partition the moment its prefill lands: the request leaves
         this scheduler's batch and its KV reservation travels with it.
         """
-        self.running.remove(request)
-        self.table.free(request.request_id)
+        self._leave([request])
         self._committed_tokens -= request.unique_seq_len
         if self.prefix is not None:
             self.prefix.forget(request.request_id)
         if self.paging is not None:
             self.paging.on_release(request)
-        self._steady = False
-        self._steady_ctx = None
 
     @property
     def pending_chunks(self) -> dict[int, int]:
@@ -730,14 +688,12 @@ class ContinuousBatchingScheduler:
         return self._stage_chunks
 
     @property
-    def stage_partitions(self) -> tuple[list[Request], list[Request]]:
-        """(decoding, prefilling) requests of the stage just built.
+    def stage_prefilling(self) -> list[Request]:
+        """Prefilling requests of the stage just built, in batch order.
 
-        Built in :meth:`build_stage`'s single pass over the batch, in batch
-        order, so the engine never re-filters ``running`` per stage.  Valid
-        until the next :meth:`build_stage` call.
-        """
-        return self._stage_decoding, self._stage_prefilling
+        Read it before :meth:`complete_stage`, which replaces the list
+        (the returned one keeps the stage's members)."""
+        return self._prefilling
 
     # ------------------------------------------------------------------
     # load signals (cluster routing)
@@ -787,15 +743,12 @@ class ContinuousBatchingScheduler:
                 self._committed_tokens + request.total_seq_len > self.capacity_tokens
             ):
                 break
-            self.running.append(request)
+            self._enter(request)
             self.admitted_log.append(request.request_id)
-            self.table.add(request)
             self._committed_tokens += request.total_seq_len
             if self.paging is not None:
                 self.paging.on_admit(request)
             synthetic.append(request)
-        # Every warm-started request decodes: a steady run may arm at once.
-        self._steady = True
         return synthetic
 
 

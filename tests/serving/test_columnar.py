@@ -2,8 +2,9 @@
 
 Two layers (tier 1 — see TESTING.md):
 
-* unit tests for the struct-of-arrays :class:`RequestTable` (slot
-  recycling, growth, lazy refresh, vectorized advance) and the
+* unit tests for the struct-of-arrays :class:`RequestTable` (append,
+  order-preserving compaction with write-back, the ``max_batch`` bound,
+  read-through of request progress, vectorized advance) and the
   :class:`EventClock` (heap and calendar backends, lazy cancellation,
   fire ordering);
 * the property suite pinning the tentpole exactness claim: a full run
@@ -11,10 +12,12 @@ Two layers (tier 1 — see TESTING.md):
   per-stage oracle (``columnar=False``) trajectory *exactly* — same
   finished ids in the same order, same completion/shed/admission
   ledgers, same virtual clocks, and an identical ``ServingReport`` —
-  across all 8 invariant-suite configurations, plus both paging
-  policies under heavy preemption.  Exact equality is deliberately
-  stronger than the issue's 1e-9 tolerance: the fast path is built from
-  bit-stable primitives, so any drift is a bug.
+  across all 8 invariant-suite configurations and a saturated
+  SLO-shedding shape, plus both paging policies under heavy preemption,
+  with every request's progress equal at checkpoints inside runs.
+  Exact equality is deliberately stronger than the issue's 1e-9
+  tolerance: the fast path is built from bit-stable primitives, so any
+  drift is a bug.
 """
 
 from __future__ import annotations
@@ -26,11 +29,20 @@ from hypothesis import given, strategies as st  # noqa: E402
 
 import numpy as np  # noqa: E402
 
+from repro.core.system import duplex_system  # noqa: E402
 from repro.errors import ConfigError, SchedulingError  # noqa: E402
+from repro.models.config import mixtral  # noqa: E402
 from repro.serving.columnar import EventClock, RequestTable  # noqa: E402
-from repro.serving.request import Request  # noqa: E402
+from repro.serving.generator import WorkloadSpec  # noqa: E402
+from repro.serving.paging import EvictionPolicy, PagingConfig  # noqa: E402
+from repro.serving.policy import SloAwarePolicy  # noqa: E402
+from repro.serving.request import Request, RequestState  # noqa: E402
+from repro.serving.simulator import ServingSimulator, SimulationLimits  # noqa: E402
 
-from test_invariants import CONFIGURATIONS, spec_strategy  # noqa: E402
+from test_invariants import CONFIGURATIONS, Probe, spec_strategy  # noqa: E402
+
+MODEL = mixtral()
+SYSTEM = duplex_system(MODEL, co_processing=True, expert_tensor_parallel=True)
 
 
 # ----------------------------------------------------------------------
@@ -49,64 +61,66 @@ def _request(rid: int, input_len: int = 16, output_len: int = 8) -> Request:
 
 
 class TestRequestTable:
-    def test_add_free_recycles_slots_lifo(self):
-        table = RequestTable(capacity=2)
-        a = table.add(_request(1))
-        b = table.add(_request(2))
-        assert a != b and len(table) == 2
-        table.free(1)
-        assert 1 not in table and 2 in table
-        assert table.add(_request(3)) == a  # LIFO recycling
-        assert table.request_id[a] == 3
-
-    def test_duplicate_add_rejected_and_unknown_free_is_noop(self):
-        table = RequestTable(capacity=2)
-        table.add(_request(7))
-        with pytest.raises(SchedulingError):
-            table.add(_request(7))
-        table.free(999)  # silently ignored
-        assert len(table) == 1
-
-    def test_grows_by_doubling(self):
-        table = RequestTable(capacity=2)
-        for rid in range(5):
-            table.add(_request(rid))
-        assert table.capacity == 8
-        assert len(table) == 5
-        assert {int(table.request_id[table.slot_of(r)]) for r in range(5)} == set(range(5))
-
     def test_bad_capacity_rejected(self):
         with pytest.raises(ConfigError):
-            RequestTable(capacity=0)
+            RequestTable(max_batch=0)
 
-    def test_refresh_advance_matches_object_layer(self):
-        table = RequestTable(capacity=4)
-        running = [_request(1, output_len=5), _request(2, output_len=9)]
-        for request in running:
-            table.add(request)
-        slots = table.refresh(running)
-        assert not table.dirty
-        # finish_prefill emitted token 1, so request 1 needs 4 more stages.
-        assert table.min_remaining() == 4
-        table.advance_decode(3)
-        assert list(table.tokens_generated[slots]) == [4, 4]
-        assert list(table.context_len[slots]) == [r.context_len + 3 for r in running]
-        # A scalar stage mutates the objects; refresh resyncs when dirty.
-        running[0].advance_decode(0.0)
-        table.dirty = True
-        table.refresh(running)
-        assert table.tokens_generated[table.slot_of(1)] == 2
-        assert table.min_remaining() == 3
+    def test_duplicate_append_rejected(self):
+        table = RequestTable(max_batch=4)
+        request = _request(7)
+        table.append(request)
+        with pytest.raises(SchedulingError):
+            table.append(request)
+        assert len(table) == 1
 
-    def test_residency_flag(self):
-        table = RequestTable(capacity=2)
-        slot = table.add(_request(1))
-        assert bool(table.kv_resident[slot])
-        table.set_residency(1, False)
-        assert not bool(table.kv_resident[slot])
-        table.set_residency(404, True)  # unknown id: no-op
+    def test_append_beyond_max_batch_raises(self):
+        table = RequestTable(max_batch=2)
+        table.append(_request(1))
+        table.append(_request(2))
+        with pytest.raises(SchedulingError):
+            table.append(_request(3))
+        assert [r.request_id for r in table.rows] == [1, 2]
+
+    def test_remove_compacts_in_order_and_writes_back(self):
+        table = RequestTable(max_batch=8)
+        requests = [_request(rid, input_len=10 + rid, output_len=20 + rid) for rid in range(5)]
+        for request in requests:
+            table.append(request)
+        table.advance(3)
+        removed = table.remove([1, 3])
+        assert removed == [requests[1], requests[3]]
+        # Survivors keep their order; row i is rows[i] and the columns moved along.
+        assert table.rows == [requests[0], requests[2], requests[4]]
+        assert [table.row_of(r) for r in table.rows] == [0, 1, 2]
+        assert table.context_len[:3].tolist() == [13, 15, 17]
+        assert table.output_len[:3].tolist() == [20, 22, 24]
+        # Leavers carry their progress off the table.
+        for request in removed:
+            assert request.context_len == request.input_len + 3
+            assert request.tokens_generated == 4
+            with pytest.raises(SchedulingError):
+                table.row_of(request)
+
+    def test_progress_reads_and_writes_through_the_row(self):
+        table = RequestTable(max_batch=4)
+        decoding = _request(1, output_len=5)
+        prefilling = Request(request_id=2, arrival_time_s=0.0, input_len=12, output_len=9)
+        prefilling.start_prefill()
+        table.append(decoding)
+        table.append(prefilling)
+        table.advance_decoding()  # the prefilling row stays put
+        assert (decoding.context_len, decoding.tokens_generated) == (17, 2)
+        assert (prefilling.context_len, prefilling.tokens_generated) == (0, 0)
+        decoding.context_len = 40  # a write lands in the row
+        assert table.context_len[0] == 40
+        prefilling.finish_prefill(1.0)  # the transition updates the row and its phase
+        assert table.tokens_generated[1] == 1 and table.decoding[1] == 1
+        table.advance(3)
+        assert table.done_rows() == [0]
+        assert decoding.is_complete and not prefilling.is_complete
 
 
+# ----------------------------------------------------------------------
 # ----------------------------------------------------------------------
 # EventClock
 # ----------------------------------------------------------------------
@@ -174,6 +188,26 @@ def test_bad_bucket_width_rejected():
 # ----------------------------------------------------------------------
 # columnar ↔ scalar oracle equivalence
 # ----------------------------------------------------------------------
+def _build_slo_shedding_full(spec_params, seed):
+    """An SLO-shedding policy behind a saturated batch: arrivals pile up
+    while the batch is full and expire there, so the policy's ``shed``
+    and ``order_waiting`` overrides act at every stage boundary."""
+    lin, lout, lin_cv, lout_cv = spec_params
+    spec = WorkloadSpec(
+        lin_mean=lin, lout_mean=4 * lout, lin_cv=lin_cv, lout_cv=lout_cv, qps=300.0
+    )
+    sim = ServingSimulator(
+        SYSTEM, MODEL, spec, max_batch=4, seed=seed,
+        policy=SloAwarePolicy(t2ft_slo_s=0.05, prefer_short_inputs=True),
+    )
+    limits = SimulationLimits(max_stages=200, warmup_stages=6)
+    return lambda: sim.run(limits), Probe(sim.engines), None
+
+
+#: The invariant suite's configurations plus shapes only the oracle needs.
+ORACLE_CONFIGURATIONS = {**CONFIGURATIONS, "mono-slo-shedding-full": _build_slo_shedding_full}
+
+
 def _run_config(config: str, spec_params, seed: int, columnar: bool):
     """Run one invariant-suite config with the fast path on or off.
 
@@ -182,7 +216,7 @@ def _run_config(config: str, spec_params, seed: int, columnar: bool):
     per-stage events), so the probe is detached on both arms and the
     engines are pinned to the requested mode.
     """
-    run, probe, recorder = CONFIGURATIONS[config](spec_params, seed)
+    run, probe, _ = ORACLE_CONFIGURATIONS[config](spec_params, seed)
     for engine in probe.engines:
         engine.observers.clear()
         engine.columnar = columnar
@@ -216,7 +250,7 @@ def _trajectory(report, engines):
     }
 
 
-@pytest.mark.parametrize("config", sorted(CONFIGURATIONS))
+@pytest.mark.parametrize("config", sorted(ORACLE_CONFIGURATIONS))
 @given(spec_params=spec_strategy, seed=st.integers(min_value=0, max_value=2**16))
 def test_columnar_matches_scalar_oracle(config, spec_params, seed):
     fast_report, fast_engines = _run_config(config, spec_params, seed, columnar=True)
@@ -230,21 +264,13 @@ def test_columnar_matches_scalar_oracle(config, spec_params, seed):
 @pytest.mark.parametrize("policy", ["migrate", "recompute"])
 def test_columnar_matches_scalar_under_paging_pressure(policy):
     """Heavy live preemption (thousands of evictions) stays bit-exact."""
-    from repro.core.system import duplex_system
-    from repro.models.config import mixtral
-    from repro.serving.generator import WorkloadSpec
-    from repro.serving.paging import EvictionPolicy, PagingConfig
-    from repro.serving.simulator import ServingSimulator, SimulationLimits
-
-    model = mixtral()
-    system = duplex_system(model, co_processing=True, expert_tensor_parallel=True)
     spec = WorkloadSpec(lin_mean=30000, lout_mean=64, lin_cv=0.3, lout_cv=0.3, qps=40.0)
     limits = SimulationLimits(max_stages=600, warmup_stages=20)
     config = PagingConfig(policy=EvictionPolicy(policy))
 
     def run(columnar: bool):
         sim = ServingSimulator(
-            system, model, spec, max_batch=64, seed=0, paging=config, columnar=columnar
+            SYSTEM, MODEL, spec, max_batch=64, seed=0, paging=config, columnar=columnar
         )
         report = sim.run(limits)
         stats = sim.paging.manager.stats
@@ -270,19 +296,12 @@ def test_scalar_path_prices_only_mixed_stages():
     shorter than two stages stays scalar by design.  The report matches
     the scalar oracle exactly.
     """
-    from repro.core.system import duplex_system
-    from repro.models.config import mixtral
-    from repro.serving.generator import WorkloadSpec
-    from repro.serving.simulator import ServingSimulator, SimulationLimits
-
-    model = mixtral()
-    system = duplex_system(model, co_processing=True, expert_tensor_parallel=True)
     spec = WorkloadSpec(lin_mean=256, lout_mean=64, lin_cv=0.3, lout_cv=0.0)
     limits = SimulationLimits(max_stages=600, warmup_stages=0)
 
     def run(columnar: bool):
         sim = ServingSimulator(
-            system, model, spec, max_batch=8, seed=0, warm_start=True, columnar=columnar
+            SYSTEM, MODEL, spec, max_batch=8, seed=0, warm_start=True, columnar=columnar
         )
         executor = sim.engine.executor
         price_stage = executor.run_stage
@@ -300,3 +319,120 @@ def test_scalar_path_prices_only_mixed_stages():
     assert report == oracle_report
     assert len(oracle_mixed) == 600
     assert mixed == [True] * sum(oracle_mixed), "a decode-only stage took the scalar path"
+
+
+def _blocked_decode_stages(policy, columnar: bool):
+    """Decode-only stages the scalar path prices while the batch is full
+    and requests wait, on a saturated open loop with fixed-length outputs."""
+    spec = WorkloadSpec(lin_mean=128, lout_mean=48, lin_cv=0.3, lout_cv=0.0, qps=200.0)
+    sim = ServingSimulator(
+        SYSTEM, MODEL, spec, max_batch=4, seed=0, policy=policy, columnar=columnar
+    )
+    scheduler = sim.scheduler
+    executor = sim.engine.executor
+    price_stage = executor.run_stage
+    blocked = [0]
+
+    def counting(workload):
+        if (
+            not workload.is_mixed
+            and len(scheduler.running) >= scheduler.max_batch
+            and scheduler.waiting
+        ):
+            blocked[0] += 1
+        return price_stage(workload)
+
+    executor.run_stage = counting
+    report = sim.run(SimulationLimits(max_stages=400, warmup_stages=0))
+    return report, blocked[0]
+
+
+@pytest.mark.parametrize("policy", ["fcfs", "slo-shedding"])
+def test_steady_runs_while_the_batch_is_full(policy):
+    """A full batch with a waiting queue still takes vectorized runs.
+
+    Under FCFS, admission while the batch is full only moves arrivals
+    into ``waiting``, so the decode-only stages up to the next completion
+    collapse into a run.  A policy overriding ``shed``/``order_waiting``
+    acts on the queue at every boundary, so its blocked decode stages
+    stay scalar.  Both match the scalar oracle exactly.
+    """
+
+    def make():
+        return SloAwarePolicy(t2ft_slo_s=0.5) if policy == "slo-shedding" else None
+
+    report, blocked = _blocked_decode_stages(make(), columnar=True)
+    oracle_report, oracle_blocked = _blocked_decode_stages(make(), columnar=False)
+    assert report == oracle_report
+    assert oracle_blocked > 300, "the batch must saturate with requests waiting"
+    assert blocked == (oracle_blocked if policy == "slo-shedding" else 0)
+
+
+def _progress(request: Request) -> tuple:
+    return (request.request_id, request.state, request.context_len, request.tokens_generated)
+
+
+def test_request_progress_is_never_stale_mid_run():
+    """Reading a request mid-run agrees with the scalar oracle's objects.
+
+    A running request's ``context_len``/``tokens_generated`` read its
+    table row, so they are current inside an open vectorized run, after
+    mixed stages, and across preemptions (evicted requests carry their
+    row's progress off the table).  At checkpoints, many of which fall
+    inside steady runs, the tokens the requests hold must add up to the
+    tokens the metrics ledger counted, and every request the source
+    handed out must match the oracle's.  Arrivals a run leaves in the
+    source (the batch is full) are the only difference: the oracle has
+    already moved them, untouched, into ``waiting``.
+    """
+    spec = WorkloadSpec(lin_mean=28000, lout_mean=256, lin_cv=0.3, lout_cv=0.3, qps=4.0)
+    limits = SimulationLimits(max_stages=10**6, warmup_stages=0)
+
+    def build(columnar: bool):
+        sim = ServingSimulator(
+            SYSTEM, MODEL, spec, max_batch=64, seed=0, paging=PagingConfig(),
+            columnar=columnar,
+        )
+        source = sim.scheduler.source
+        taken: list[Request] = []
+        take = source.take
+
+        def recording_take(now_s):
+            request = take(now_s)
+            taken.append(request)
+            return request
+
+        source.take = recording_take
+        return sim, taken
+
+    (fast, fast_taken), (oracle, oracle_taken) = build(True), build(False)
+    commit = fast.scheduler.commit_steady_run
+    committed = [0]
+
+    def counting_commit(n_stages, final_now_s):
+        committed[0] += n_stages
+        return commit(n_stages, final_now_s)
+
+    fast.scheduler.commit_steady_run = counting_commit
+    inside_runs = 0
+    t = 0.0
+    for _ in range(800):
+        t += 0.125
+        fast.engine.advance_to(t, limits)
+        oracle.engine.advance_to(t, limits)
+        inside_runs += fast.engine.lazy_until_s != float("-inf")
+        if fast.engine.stages:
+            emitted = fast.engine.metrics.report().tokens_generated
+            assert sum(r.tokens_generated for r in fast_taken) == emitted
+        fast_view = {r.request_id: _progress(r) for r in fast_taken}
+        oracle_view = {r.request_id: _progress(r) for r in oracle_taken}
+        assert fast_view == {rid: oracle_view[rid] for rid in fast_view}
+        assert all(
+            progress[1] is RequestState.QUEUED
+            for rid, progress in oracle_view.items()
+            if rid not in fast_view
+        )
+    evictions = fast.paging.manager.stats.evictions
+    assert evictions == oracle.paging.manager.stats.evictions
+    assert committed[0] > 500 and inside_runs > 20 and evictions > 50
+    assert fast.engine.stages == oracle.engine.stages

@@ -1,6 +1,11 @@
 """Tests for serving metrics."""
 
+import os
+import subprocess
+import sys
+import textwrap
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +14,12 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigError, SimulationError
 from repro.models.ops import OpCategory
-from repro.serving.metrics import _TBT_RECENT_MAXLEN, MetricsCollector, weighted_percentile
+from repro.serving.metrics import (
+    _TBT_RECENT_MAXLEN,
+    MetricsCollector,
+    exact_median,
+    weighted_percentile,
+)
 
 
 class TestWeightedPercentile:
@@ -377,3 +387,58 @@ class TestTbtColumnsMatchHistogram:
         values, weights, cursor = collector.tbt_samples_since(reference.count - 200)
         assert cursor == reference.count
         assert list(zip(values, weights, strict=True)) == list(reference.recent)[-200:]
+
+
+class TestExactMedian:
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [3.0],
+            [2.0, 1.0],
+            [5.0, 1.0, 3.0],
+            [4.0, 1.0, 3.0, 2.0],
+            [2.0, 2.0, 2.0, 2.0],  # all tied
+            [1.0, 2.0, 2.0, 7.0],  # tie across the middle pair
+            [0.1, 0.2, 0.2, 0.3, 0.3, 0.3],
+        ],
+    )
+    def test_small_cases_match_numpy(self, values):
+        assert exact_median(values) == float(np.median(values))
+
+    def test_random_lists_match_numpy_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        for size in range(1, 200):
+            # Rounded draws make ties common; the raw ones exercise odd
+            # sums whose halving rounds.
+            raw = rng.lognormal(mean=-3.0, sigma=1.5, size=size)
+            for values in (raw.tolist(), np.round(raw, 2).tolist()):
+                ours = exact_median(values)
+                assert isinstance(ours, float)
+                assert ours.hex() == float(np.median(values)).hex()
+
+    def test_report_does_not_import_numpy_ma(self):
+        """np.median's lazy numpy.ma import (about 1 MB) stays out of a run."""
+        script = textwrap.dedent(
+            """
+            import sys
+            from repro import (ServingSimulator, SimulationLimits, WorkloadSpec,
+                               duplex_system, mixtral)
+            model = mixtral()
+            system = duplex_system(model, co_processing=True, expert_tensor_parallel=True)
+            spec = WorkloadSpec(lin_mean=128, lout_mean=16, qps=30.0)
+            report = ServingSimulator(system, model, spec, max_batch=4, seed=0).run(
+                SimulationLimits(max_stages=120, warmup_stages=4)
+            )
+            assert report.requests_completed > 0 and report.t2ft_p50_s > 0
+            print("numpy.ma" in sys.modules)
+            """
+        )
+        src = Path(__file__).resolve().parents[2] / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            check=True,
+        )
+        assert done.stdout.strip() == "False"
