@@ -6,12 +6,6 @@
 PYTHON ?= python
 PYTEST := PYTHONPATH=src $(PYTHON) -m pytest
 
-PARENT ?=
-WORKLOAD ?= session_kv
-SEED ?= 0
-PAIRS ?= 10
-PAIR_SECONDS ?= 20
-
 .PHONY: test fast slow simlint simlint-baseline lint typecheck check perfpair
 
 test:  ## tier-1 gate: the whole unit/integration + benchmark suite
@@ -38,6 +32,6 @@ typecheck:  ## scoped mypy --strict (CI typecheck job, non-blocking)
 check: simlint fast  ## quick pre-push: determinism lint + fast tests
 
 perfpair:  ## alternating parent/change perfbench pairs (PARENT=<parent checkout>)
-	@test -n "$(PARENT)" || { echo "usage: make perfpair PARENT=<parent checkout> [WORKLOAD=...]"; exit 2; }
-	$(PYTHON) -m tools.perfpair --parent $(PARENT) --workload $(WORKLOAD) --seed $(SEED) \
-		--pairs $(PAIRS) --seconds $(PAIR_SECONDS)
+	@test -n "$(PARENT)" || { echo "usage: make perfpair PARENT=<parent checkout> [WORKLOAD=...] [SEED=...]"; exit 2; }
+	$(PYTHON) -m tools.perfpair --parent $(PARENT) \
+		$(if $(WORKLOAD),--workload $(WORKLOAD)) $(if $(SEED),--seed $(SEED))

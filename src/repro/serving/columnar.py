@@ -1,28 +1,29 @@
 """Columnar serving-core primitives: the running batch as struct-of-arrays
 and the calendar-queue/heap event clock.
 
-The serving hot loop used to spend most of its wall clock on per-request
-Python objects (attribute chases, one decode step per request per stage)
-and on linear scans for the next pending event.  This module holds the
-two data structures that replace those costs:
+This module holds the two data structures the serving hot loop runs on,
+so that a stage costs a few numpy calls instead of one Python step per
+request, and finding the next pending event needs no linear scan:
 
 * :class:`RequestTable` — a scheduler's running batch, one dense row per
   request in batch order (row ``i`` is ``running[i]``), with the decode
   progress (context, emitted tokens), the output budget and the phase
-  (decoding or not) in preallocated numpy columns.  The table is the authoritative store of
-  that progress: a running request's ``context_len`` and
-  ``tokens_generated`` read and write its row, and the row's values are
-  written back to the object when it leaves the batch.  A decode stage
+  (decoding or not) in preallocated numpy columns.  The table is the
+  authoritative store of that progress: a running request's
+  ``context_len`` and ``tokens_generated`` read and write its row, and
+  the row's values are written back to the object when it leaves the
+  batch.  A decode stage
   (or a whole steady run) is one vector add over a column slice, and the
   completions are the rows where ``tokens_generated >= output_len``.
   Admission and paging landings append rows; completions, evictions and
   releases compact them without reordering.
 
 * :class:`EventClock` — a pending-event index with lazy cancellation,
-  replacing linear next-event scans.  Two equivalent backends: a binary
-  heap (default) and a calendar queue bucketed by a fixed time width
-  (``bucket_width_s``); both pop events in exact ``(time, insertion)``
-  order, so the choice is a performance knob, never a behaviour change.
+  so the next event is found without a scan.  Two equivalent backends: a
+  binary heap (default) and a calendar queue bucketed by a fixed time
+  width (``bucket_width_s``); both pop events in exact ``(time,
+  insertion)`` order, so the choice is a performance knob, never a
+  behaviour change.
 """
 
 from __future__ import annotations

@@ -886,7 +886,9 @@ class ServingEngine:
         pricing = run.pricing
         scheduler = self.scheduler
         decode_tokens = len(scheduler.running)
-        finished = scheduler.commit_steady_run(m, float(run.boundaries[k]))
+        finished = scheduler.commit_steady_run(
+            m, float(run.boundaries[k - 1]), float(run.boundaries[k])
+        )
         run.done = k
         self.stages += m
         self._last_latency_s = float(pricing.latencies[k - 1])

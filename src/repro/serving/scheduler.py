@@ -191,7 +191,7 @@ class ContinuousBatchingScheduler:
         """
         if self.paging is not None:
             self._paging_boundary()
-        self._drain_arrivals()
+        self._drain_arrivals(self.now_s)
         if self.waiting:  # policies only shed/order what is actually queued
             shed = self.policy.shed(self.waiting, self.now_s)
             if shed:
@@ -484,8 +484,8 @@ class ContinuousBatchingScheduler:
         """Requests out of the batch because of paging (0 without paging)."""
         return self.paging.paged_count if self.paging is not None else 0
 
-    def _drain_arrivals(self) -> None:
-        """Move every arrived request into the waiting queue.
+    def _drain_arrivals(self, now_s: float) -> None:
+        """Move every request arrived by ``now_s`` into the waiting queue.
 
         Closed-loop sources have an unbounded supply — a fresh request is
         ready the moment a slot frees — so there is no queue to drain;
@@ -493,8 +493,8 @@ class ContinuousBatchingScheduler:
         """
         if getattr(self.source, "closed_loop", False):
             return
-        while self.source.has_request_at(self.now_s):
-            self.waiting.append(self.source.take(self.now_s))
+        while self.source.has_request_at(now_s):
+            self.waiting.append(self.source.take(now_s))
 
     def _peek_source(self) -> Request | None:
         # Peeking forces the lazily materialised request so its lengths are
@@ -595,8 +595,8 @@ class ContinuousBatchingScheduler:
         parked head stays parked until the first completion — and runs
         are capped at ``min_remaining`` so completions only ever land on
         a run's final stage.  While the batch is full and the policy
-        neither sheds nor reorders the queue, arrivals would only move
-        into ``waiting``; they wait in the source instead, so neither a
+        neither sheds nor reorders the queue, arrivals only move into
+        ``waiting`` (:meth:`commit_steady_run` moves them), so neither a
         waiting queue nor the next arrival bounds the run.
         """
         if self._prefilling or not self.running:
@@ -636,16 +636,21 @@ class ContinuousBatchingScheduler:
         self._done_in = remaining
         return remaining
 
-    def commit_steady_run(self, n_stages: int, final_now_s: float) -> list[Request]:
+    def commit_steady_run(
+        self, n_stages: int, last_start_s: float, final_now_s: float
+    ) -> list[Request]:
         """Apply ``n_stages`` collapsed decode stages in one mutation.
 
         Equivalent to ``n_stages`` build/complete cycles of an all-decode
-        batch: every running request emits ``n_stages`` tokens, the clock
-        jumps to ``final_now_s`` (the engine's exact cumulative-latency
+        batch: arrivals up to the last stage's start (``last_start_s``)
+        move into ``waiting`` as its admission would have moved them,
+        every running request emits ``n_stages`` tokens, the clock jumps
+        to ``final_now_s`` (the engine's exact cumulative-latency
         endpoint), and requests whose budget ran out finish — in batch
         order, exactly as the scalar loop would have finished them on the
         run's last stage.
         """
+        self._drain_arrivals(last_start_s)
         self.now_s = final_now_s
         self.table.advance(n_stages)
         self._done_in -= n_stages

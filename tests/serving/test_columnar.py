@@ -12,9 +12,11 @@ Two layers (tier 1 — see TESTING.md):
   per-stage oracle (``columnar=False``) trajectory *exactly* — same
   finished ids in the same order, same completion/shed/admission
   ledgers, same virtual clocks, and an identical ``ServingReport`` —
-  across all 8 invariant-suite configurations and a saturated
-  SLO-shedding shape, plus both paging policies under heavy preemption,
-  with every request's progress equal at checkpoints inside runs.
+  across all 8 invariant-suite configurations, a saturated
+  SLO-shedding shape and two saturated fleets whose replicas crash and
+  re-route their queues (one with a split replica), plus both paging
+  policies under heavy preemption, with every request's progress equal
+  at checkpoints inside runs.
   Exact equality is deliberately stronger than the issue's 1e-9
   tolerance: the fast path is built from bit-stable primitives, so any
   drift is a bug.
@@ -32,11 +34,17 @@ import numpy as np  # noqa: E402
 from repro.core.system import duplex_system  # noqa: E402
 from repro.errors import ConfigError, SchedulingError  # noqa: E402
 from repro.models.config import mixtral  # noqa: E402
+from repro.serving.cluster import (  # noqa: E402
+    ClusterSimulator,
+    MonolithicReplicaSpec,
+    SplitReplicaSpec,
+)
 from repro.serving.columnar import EventClock, RequestTable  # noqa: E402
+from repro.serving.faults import FaultConfig, FaultInjector, RetryPolicy  # noqa: E402
 from repro.serving.generator import WorkloadSpec  # noqa: E402
 from repro.serving.paging import EvictionPolicy, PagingConfig  # noqa: E402
 from repro.serving.policy import SloAwarePolicy  # noqa: E402
-from repro.serving.request import Request, RequestState  # noqa: E402
+from repro.serving.request import Request  # noqa: E402
 from repro.serving.simulator import ServingSimulator, SimulationLimits  # noqa: E402
 
 from test_invariants import CONFIGURATIONS, Probe, spec_strategy  # noqa: E402
@@ -121,7 +129,6 @@ class TestRequestTable:
 
 
 # ----------------------------------------------------------------------
-# ----------------------------------------------------------------------
 # EventClock
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("bucket_width_s", [None, 0.5, 2.0])
@@ -204,8 +211,45 @@ def _build_slo_shedding_full(spec_params, seed):
     return lambda: sim.run(limits), Probe(sim.engines), None
 
 
+def _crash_fleet(replicas):
+    """A saturated FCFS fleet whose replicas crash, one after the other.
+
+    Exact pricing lets its replicas take steady runs while their batches
+    are full and requests wait; each crash harvests the replica's queue
+    and re-routes it in harvest order, so a queue the fast path left in
+    the wrong place (the inbox instead of ``waiting``) would re-route in
+    a different order."""
+
+    def build(spec_params, seed):
+        lin, lout, lin_cv, lout_cv = spec_params
+        spec = WorkloadSpec(
+            lin_mean=lin, lout_mean=4 * lout, lin_cv=lin_cv, lout_cv=lout_cv, qps=400.0
+        )
+        faults = FaultInjector(
+            FaultConfig(
+                crash_times=((0.1, 0), (0.2, 1)), crash_mttr_s=0.1, detection_latency_s=0.025
+            )
+        )
+        sim = ClusterSimulator(
+            SYSTEM, MODEL, spec, max_batch=4, seed=seed, max_requests=120,
+            replicas=replicas, memoize_pricing=False, faults=faults,
+            retry=RetryPolicy(max_attempts=3, backoff_base_s=0.01),
+        )
+        limits = SimulationLimits(max_stages=300, warmup_stages=6)
+        return lambda: sim.run(limits), Probe(sim.engines), None
+
+    return build
+
+
 #: The invariant suite's configurations plus shapes only the oracle needs.
-ORACLE_CONFIGURATIONS = {**CONFIGURATIONS, "mono-slo-shedding-full": _build_slo_shedding_full}
+ORACLE_CONFIGURATIONS = {
+    **CONFIGURATIONS,
+    "mono-slo-shedding-full": _build_slo_shedding_full,
+    "cluster-crash-retry-full": _crash_fleet(
+        (MonolithicReplicaSpec(), MonolithicReplicaSpec())
+    ),
+    "cluster-split-crash-full": _crash_fleet((MonolithicReplicaSpec(), SplitReplicaSpec())),
+}
 
 
 def _run_config(config: str, spec_params, seed: int, columnar: bool):
@@ -380,10 +424,8 @@ def test_request_progress_is_never_stale_mid_run():
     mixed stages, and across preemptions (evicted requests carry their
     row's progress off the table).  At checkpoints, many of which fall
     inside steady runs, the tokens the requests hold must add up to the
-    tokens the metrics ledger counted, and every request the source
-    handed out must match the oracle's.  Arrivals a run leaves in the
-    source (the batch is full) are the only difference: the oracle has
-    already moved them, untouched, into ``waiting``.
+    tokens the metrics ledger counted, and the requests the source
+    handed out and the waiting queue must match the oracle's.
     """
     spec = WorkloadSpec(lin_mean=28000, lout_mean=256, lin_cv=0.3, lout_cv=0.3, qps=4.0)
     limits = SimulationLimits(max_stages=10**6, warmup_stages=0)
@@ -409,9 +451,9 @@ def test_request_progress_is_never_stale_mid_run():
     commit = fast.scheduler.commit_steady_run
     committed = [0]
 
-    def counting_commit(n_stages, final_now_s):
+    def counting_commit(n_stages, last_start_s, final_now_s):
         committed[0] += n_stages
-        return commit(n_stages, final_now_s)
+        return commit(n_stages, last_start_s, final_now_s)
 
     fast.scheduler.commit_steady_run = counting_commit
     inside_runs = 0
@@ -424,14 +466,10 @@ def test_request_progress_is_never_stale_mid_run():
         if fast.engine.stages:
             emitted = fast.engine.metrics.report().tokens_generated
             assert sum(r.tokens_generated for r in fast_taken) == emitted
-        fast_view = {r.request_id: _progress(r) for r in fast_taken}
-        oracle_view = {r.request_id: _progress(r) for r in oracle_taken}
-        assert fast_view == {rid: oracle_view[rid] for rid in fast_view}
-        assert all(
-            progress[1] is RequestState.QUEUED
-            for rid, progress in oracle_view.items()
-            if rid not in fast_view
-        )
+        assert [_progress(r) for r in fast_taken] == [_progress(r) for r in oracle_taken]
+        assert [r.request_id for r in fast.scheduler.waiting] == [
+            r.request_id for r in oracle.scheduler.waiting
+        ]
     evictions = fast.paging.manager.stats.evictions
     assert evictions == oracle.paging.manager.stats.evictions
     assert committed[0] > 500 and inside_runs > 20 and evictions > 50

@@ -14,9 +14,10 @@ Run from the change's checkout (the repository root)::
 
 or ``make perfpair PARENT=../parent WORKLOAD=session_kv``.  Each pair runs
 the parent first on odd pairs and the change first on even ones, so a
-steady drift favours neither side.  Only the end-to-end metrics of an
-untraced run (``--trace 0``) are compared; a run that is not ``correct``
-or has failures aborts the comparison.
+steady drift favours neither side.  Every run lasts the benchmark's own
+``run_seconds`` (``BENCHMARK.json``), and only the end-to-end metrics of
+an untraced run (``--trace 0``) are compared; a run that is not
+``correct`` or has failures aborts the comparison.
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+#: Metric name -> "higher" or "lower" (is better).
+DIRECTIONS = {metric["name"]: metric["better"] for metric in SPEC["end_to_end"]}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -39,19 +43,13 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def directions(checkout: Path) -> dict[str, str]:
-    """Metric name -> "higher" or "lower" (is better), from BENCHMARK.json."""
-    spec = json.loads((checkout / "BENCHMARK.json").read_text())
-    return {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
-
-
 def run_once(checkout: Path, args: argparse.Namespace) -> dict[str, float]:
     """One untraced benchmark process; its end-to-end metric values."""
     command = [
         sys.executable, "perfbench/run.py",
         "--workload", args.workload,
         "--seed", str(args.seed),
-        "--seconds", str(args.seconds),
+        "--seconds", str(SPEC["run_seconds"]),
         "--trace", "0",
     ]
     done = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
@@ -92,31 +90,28 @@ def summarize(name: str, better: str, parent: list[float], change: list[float]) 
 def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True, help="parent checkout")
-    parser.add_argument("--change", type=Path, default=ROOT, help="change checkout")
     parser.add_argument("--workload", default="session_kv")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=20.0)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    for side in (args.parent, args.change):
-        if not (side / "perfbench" / "run.py").is_file():
-            parser.error(f"{side} has no perfbench/run.py")
+    if not (args.parent / "perfbench" / "run.py").is_file():
+        parser.error(f"{args.parent} has no perfbench/run.py")
     return args
 
 
 def main(argv=None) -> None:
     args = parse_args(argv)
-    better = directions(args.change)
+    checkouts = {"parent": args.parent, "change": ROOT}
     runs: dict[str, list[dict[str, float]]] = {"parent": [], "change": []}
     for pair in range(args.pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for side in order:
-            runs[side].append(run_once(getattr(args, side), args))
+            runs[side].append(run_once(checkouts[side], args))
         line = "  ".join(
             f"{name} {runs['parent'][-1][name]:.6g} -> {runs['change'][-1][name]:.6g}"
-            for name in better
+            for name in DIRECTIONS
         )
         print(f"pair {pair + 1}/{args.pairs}: {line}", flush=True)
     summaries = [
@@ -126,7 +121,7 @@ def main(argv=None) -> None:
             [values[name] for values in runs["parent"]],
             [values[name] for values in runs["change"]],
         )
-        for name, direction in better.items()
+        for name, direction in DIRECTIONS.items()
     ]
     for s in summaries:
         p, c = s["parent"], s["change"]
