@@ -70,6 +70,10 @@ def pytest_configure(config: pytest.Config) -> None:
         "markers",
         "fleet: lazy fleet-loop equivalence tests (lazy == forced-eager advancing)",
     )
+    config.addinivalue_line(
+        "markers",
+        "columnar: columnar <-> scalar oracle tests (fast path == per-stage loop)",
+    )
     try:
         from hypothesis import settings
     except ImportError:  # property tests skip themselves via importorskip

@@ -187,7 +187,8 @@ class DecodeRunPricing:
 
     Produced by :meth:`StageExecutor.price_decode_run`: stage ``k`` of the
     run (1-based) prices the batch with every context grown by ``k``
-    tokens.  Each element of every array is bit-identical to what the
+    tokens; a run may instead open with the mixed admission stage before
+    it (``first``).  Each element of every array is bit-identical to what the
     scalar per-stage path would compute for that stage, so committing a
     (possibly truncated) prefix of the run is indistinguishable from
     having stepped the stages one by one.
@@ -205,7 +206,11 @@ class DecodeRunPricing:
         rng_state: gating-RNG snapshot taken *before* the batched routing
             draw, or None when no randomness was consumed (dense models,
             deterministic gating) — what a truncating commit rewinds to.
-        n_stages: priced run length.
+        n_stages: priced run length, stage 1 included.
+        first: the admission stage that opens the run, priced as
+            :meth:`StageExecutor.run_stage` would price it, or None.  When
+            set, ``latencies`` covers every stage (stage 1 first) while
+            ``dram``/``compute`` cover the decode stages ``2..n`` only.
     """
 
     latencies: np.ndarray
@@ -216,6 +221,7 @@ class DecodeRunPricing:
     total_tokens: int
     rng_state: dict | None
     n_stages: int
+    first: StageResult | None = None
 
 
 @dataclass(frozen=True)
@@ -271,6 +277,26 @@ GLOBAL_PRICING_CACHE = SharedPricingCache()
 #: At or below this many resident experts, the scalar per-count price cache
 #: beats the batched numpy pass (dict hits vs fixed array overhead).
 _SCALAR_EXPERT_MAX = 16
+
+
+def _member_columns(units: tuple) -> tuple[list, np.ndarray]:
+    """Co-processing groups laid out for the run kernel.
+
+    Returns ``(positions, gid)``: ``positions[j]`` is ``(groups,
+    members)`` — the groups with a ``j``-th member and those members'
+    resident-expert indices (``groups`` is a slice of every group when all
+    have one) — and ``gid`` maps each resident expert to its group.
+    """
+    positions = []
+    for j in range(max(len(members) for members in units)):
+        groups = [g for g, members in enumerate(units) if len(members) > j]
+        columns = np.asarray([units[g][j] for g in groups], dtype=np.intp)
+        every = len(groups) == len(units)
+        positions.append((slice(None) if every else np.asarray(groups, dtype=np.intp), columns))
+    gid = np.empty(sum(len(members) for members in units), dtype=np.intp)
+    for g, members in enumerate(units):
+        gid[list(members)] = g
+    return positions, gid
 
 
 class StageExecutor:
@@ -359,7 +385,8 @@ class StageExecutor:
         # Scalar per-token-count expert prices — the runtime lookup table of
         # Section V-B extended with energies.  Decode-stage routing repeats
         # the same small counts constantly, so small expert sets price from
-        # dict hits; large sets use the batched numpy pass instead.
+        # dict hits; large sets use the batched numpy pass instead, and a
+        # prefill's one-off large counts are priced without being kept.
         self._expert_price_cache: dict[int, tuple] = {}
 
         if system.kind is SystemKind.HETERO:
@@ -397,6 +424,11 @@ class StageExecutor:
         self._assign_plan = (
             SpaceGroupPlan(self._placement.resident_experts_per_device, self._assign_groups)
             if model.is_moe and self._placement is not None
+            else None
+        )
+        self._group_columns = (
+            _member_columns(self._assign_plan.units)
+            if self._assign_plan is not None and not self._assign_plan.singletons
             else None
         )
         self._n_nodes = system.topology.n_nodes
@@ -550,25 +582,35 @@ class StageExecutor:
     # steady decode runs (the columnar fast path)
     # ------------------------------------------------------------------
     def price_decode_run(
-        self, context_lengths: np.ndarray, n_stages: int
+        self,
+        context_lengths: np.ndarray,
+        n_stages: int,
+        first: StageWorkload | None = None,
     ) -> DecodeRunPricing | None:
-        """Price ``n_stages`` consecutive steady decode stages in one pass.
+        """Price ``n_stages`` consecutive stages in one pass.
 
         Stage ``k`` (1-based) prices the decoding-only composition with
         contexts ``context_lengths + k`` — exactly the stages a scheduler
-        in steady decode would emit.  Every float is produced by the same
-        IEEE operation sequence as ``n_stages`` scalar
-        :meth:`run_stage` calls (constant FC/gate/collective charges are
-        replayed from the same caches; attention and MoE vectorize over
-        the stage axis elementwise), so a committed run is bit-identical
-        to having priced the stages one at a time — including the gating
-        RNG stream, batched via
+        in steady decode would emit.  With ``first``, stage 1 is that
+        composition instead (the admission stage that opens the run:
+        prefill attention, its own FC/gate/collective charges and KV
+        migration) and ``pricing.first`` is the :class:`StageResult`
+        :meth:`run_stage` would return for it; stages ``2..n`` then price
+        ``context_lengths + k``.  Every float is produced by the same IEEE
+        operation sequence as ``n_stages`` scalar :meth:`run_stage` calls
+        (constant FC/gate/collective charges are replayed from the same
+        caches; attention and MoE vectorize over the stage axis
+        elementwise), so a committed run is bit-identical to having priced
+        the stages one at a time — including the gating RNG stream: stage
+        1's :meth:`~repro.models.gating.ExpertRouter.route` draw, then
+        the decode stages batched via
         :meth:`~repro.models.gating.ExpertRouter.route_batch`.
 
         Returns None when this executor cannot take the fast path
         (memoized pricing quantizes compositions; the scalar path must
         stay authoritative there).
         """
+        first_rows = 0 if first is None else 1
         if self.memoize or n_stages < 1:
             return None
         model = self.model
@@ -577,22 +619,23 @@ class StageExecutor:
         if batch == 0:
             return None
         n_run = int(n_stages)
+        n_dec = n_run - first_rows
         local0 = ctx if self._n_nodes == 1 else ctx[:: self._n_nodes]
         b_local = int(local0.size)
         local_tokens = b_local
         n_layers = model.n_layers
+        # Stage 1 draws its routing ahead of the decode stages' batch.
+        first_result = (
+            None if first is None else self._price_stage(first, self.deterministic_gating)
+        )
 
-        fc_key = (local_tokens, b_local)
-        fc_charge = self._fc_stage_cache.get(fc_key)
-        if fc_charge is None:
-            fc_charge = self._build_fc_stage_charge(local_tokens, b_local)
-            self._fc_stage_cache[fc_key] = fc_charge
+        fc_charge = self._fc_charge(local_tokens, b_local)
 
         # ---- attention, vectorized over the stage axis ----------------
         m = model
         kvf = self._decode_kv_fraction
         total0 = int(np.add.reduce(local0))
-        steps = np.arange(1, n_run + 1, dtype=np.int64)
+        steps = np.arange(1 + first_rows, n_run + 1, dtype=np.int64)
         totals = (total0 + steps * b_local).astype(np.float64)
         qk_coeff = 4.0 * m.n_heads * m.d_head
         sm_coeff = SOFTMAX_FLOPS_PER_SCORE * m.n_heads
@@ -600,7 +643,7 @@ class StageExecutor:
         kv_read_v = (totals * m.kv_bytes_per_token_per_layer) * kvf
         q_read = float(b_local) * m.n_heads * m.d_head * m.dtype_bytes * kvf
         br_v = kv_read_v + q_read
-        bw_v = np.full(n_run, q_read)
+        bw_v = np.full(n_dec, q_read)
         system = self.system
         if system.kind is SystemKind.GPU or self._pim is None:
             assert self._xpu is not None
@@ -609,17 +652,23 @@ class StageExecutor:
             attn_units = (self._pim,)
         else:
             attn_units = (self._xpu, self._pim)
-        if len(attn_units) == 1:
-            unit = attn_units[0]
-            attn_time_v = unit.op_times(flops_v, br_v, bw_v, validate=False)
+        # Every stage reads its queries (bw_v > 0): no zero-work operator.
+        busy = np.zeros(n_dec, dtype=bool)
+        times = [
+            unit.op_times(flops_v, br_v, bw_v, zero_mask=busy, validate=False)
+            for unit in attn_units
+        ]
+        on_xpu = times[0] <= times[1] if len(times) == 2 else None
+        if on_xpu is None or on_xpu.all() or not on_xpu.any():
+            # One unit takes every stage of the run (the usual case).
+            pick = 0 if on_xpu is None or on_xpu.all() else 1
+            unit = attn_units[pick]
+            attn_time_v = times[pick]
             attn_dram_v = unit.dram_energies(br_v, bw_v)
             attn_comp_v = unit.compute_energies(flops_v)
         else:
             xpu, pim = attn_units
-            t_x = xpu.op_times(flops_v, br_v, bw_v, validate=False)
-            t_p = pim.op_times(flops_v, br_v, bw_v, validate=False)
-            on_xpu = t_x <= t_p
-            attn_time_v = np.where(on_xpu, t_x, t_p)
+            attn_time_v = np.where(on_xpu, times[0], times[1])
             attn_dram_v = np.where(
                 on_xpu, xpu.dram_energies(br_v, bw_v), pim.dram_energies(br_v, bw_v)
             )
@@ -638,34 +687,32 @@ class StageExecutor:
         moe_dram_v = moe_comp_v = None
         if model.is_moe and model.n_moe_layers > 0:
             moe_priced = True
-            assert self._router is not None
+            router = self._router
+            assert router is not None
             if self.deterministic_gating:
-                counts0 = self._expected_counts_cache.get(batch)
-                if counts0 is None:
-                    counts0 = np.rint(self._router.expected_counts(batch)).astype(np.int64)
-                    self._expected_counts_cache[batch] = counts0
-                counts_mat = np.tile(counts0, (n_run, 1))
+                counts_mat = np.tile(self._expected_counts(batch), (n_dec, 1))
+            elif n_dec:
+                rng_state = router.state_snapshot()
+                counts_mat = router.route_batch(batch, n_dec)
             else:
-                rng_state = self._router.state_snapshot()
-                counts_mat = self._router.route_batch(batch, n_run)
+                counts_mat = np.zeros((0, router.n_experts), dtype=np.int64)
             moe_time_v, moe_dram_v, moe_comp_v = self._price_moe_run(
-                counts_mat, local_tokens, n_run, batch * self._router.top_k
+                counts_mat, local_tokens, n_dec, batch * router.top_k
             )
             latency_v = latency_v + moe_time_v
         latency_v = latency_v + fc_charge[1]
 
-        comm = self._comm_cache.get(local_tokens)
-        if comm is None:
-            comm = self._communication_cost(local_tokens)
-            self._comm_cache[local_tokens] = comm
-        comm_total, comm_energy = comm
+        comm_total, comm_energy = self._comm_charge(local_tokens)
         latency_v = latency_v + comm_total
         latency_v = latency_v + fc_charge[2]
         latency_v = latency_v + fc_charge[3]
 
+        if first_result is not None:
+            latency_v = np.concatenate(((first_result.latency_s,), latency_v))
+
         categories: list[OpCategory] = [OpCategory.FC, OpCategory.ATTENTION_DECODE]
-        dram = [np.full(n_run, fc_charge[5]), attn_dram_stage]
-        compute = [np.full(n_run, fc_charge[6]), attn_comp_stage]
+        dram = [np.full(n_dec, fc_charge[5]), attn_dram_stage]
+        compute = [np.full(n_dec, fc_charge[6]), attn_comp_stage]
         if moe_priced:
             categories.append(OpCategory.MOE)
             dram.append(moe_dram_v)
@@ -679,6 +726,7 @@ class StageExecutor:
             total_tokens=batch,
             rng_state=rng_state,
             n_stages=n_run,
+            first=first_result,
         )
 
     def rewind_decode_run(self, pricing: DecodeRunPricing, n_committed: int) -> None:
@@ -687,25 +735,33 @@ class StageExecutor:
         A run priced for ``pricing.n_stages`` stages but committed for
         only ``n_committed`` must leave the random stream exactly where
         ``n_committed`` scalar stages would have: restore the
-        pre-batch-draw snapshot and redraw the committed prefix (batched
-        multinomial rows are drawn in stream order, so the prefix rows —
-        already consumed by the commit — reproduce bit-for-bit).
+        pre-batch-draw snapshot and redraw the committed decode prefix
+        (batched multinomial rows are drawn in stream order, so the prefix
+        rows — already consumed by the commit — reproduce bit-for-bit).
+        A run opened by an admission stage always commits that stage,
+        whose draw precedes the snapshot.
         """
         if pricing.rng_state is None or n_committed >= pricing.n_stages:
             return
+        decode_rows = n_committed - (pricing.first is not None)
+        if decode_rows < 0:
+            raise SimulationError("a run opened by an admission stage commits that stage")
         assert self._router is not None
         self._router.state_restore(pricing.rng_state)
-        if n_committed > 0:
-            self._router.route_batch(pricing.total_tokens, n_committed)
+        if decode_rows > 0:
+            self._router.route_batch(pricing.total_tokens, decode_rows)
 
     def _run_luts(self, max_count: int) -> tuple:
         """Count-indexed expert price LUTs covering ``0..max_count``.
 
         GPU/HETERO executors get ``(time, dram, compute)``; Duplex-style
-        two-unit executors get ``(tx, tp, dx, dp, cx, cp)``.  One set is
-        kept, grown to the largest bound seen.  Each LUT entry is a pure
-        function of its own count, so the wider table indexes to the same
-        floats a per-run table bounded by that run's maximum count would.
+        two-unit executors get ``(tx, tp, dx, dp, cx, cp)``.  Energies come
+        pre-multiplied by the MoE layers each segment charges (one
+        multiplicity for every segment), the very products the per-stage
+        path forms per expert.  One set is kept, grown to the largest bound
+        seen.  Each LUT entry is a pure function of its own count, so the
+        wider table indexes to the same floats a per-run table bounded by
+        that run's maximum count would.
         """
         if max_count <= self._run_lut_max:
             return self._run_lut
@@ -714,24 +770,25 @@ class StageExecutor:
         fl, brr, bww = self.math.expert_ffn_arrays(
             lut_counts, self._expert_fraction, validate=False, idle=idle
         )
+        layers = self.model.n_moe_layers * self._expert_segments[0][2]
         system = self.system
         if system.kind is SystemKind.GPU or system.kind is SystemKind.HETERO:
             unit = self._xpu if system.kind is SystemKind.GPU else self._pim
             assert unit is not None
             luts = (
                 unit.op_times(fl, brr, bww, zero_mask=idle, validate=False),
-                unit.dram_energies(brr, bww),
-                unit.compute_energies(fl),
+                unit.dram_energies(brr, bww) * layers,
+                unit.compute_energies(fl) * layers,
             )
         else:
             assert self._xpu is not None and self._pim is not None
             luts = (
                 self._xpu.op_times(fl, brr, bww, zero_mask=idle, validate=False),
                 self._pim.op_times(fl, brr, bww, zero_mask=idle, validate=False),
-                self._xpu.dram_energies(brr, bww),
-                self._pim.dram_energies(brr, bww),
-                self._xpu.compute_energies(fl),
-                self._pim.compute_energies(fl),
+                self._xpu.dram_energies(brr, bww) * layers,
+                self._pim.dram_energies(brr, bww) * layers,
+                self._xpu.compute_energies(fl) * layers,
+                self._pim.compute_energies(fl) * layers,
             )
         self._run_lut = luts
         self._run_lut_max = max_count
@@ -752,13 +809,7 @@ class StageExecutor:
         """
         model, system = self.model, self.system
         layers = model.n_moe_layers
-        charge = self._gate_cache.get(local_tokens)
-        if charge is None:
-            gate_unit = self._xpu if self._xpu is not None else self._pim
-            assert gate_unit is not None
-            gate = self.math.gate(local_tokens, self._fc_fraction)
-            charge = self._build_charge(gate_unit, gate, self._fc_replicas())
-            self._gate_cache[local_tokens] = charge
+        charge = self._gate_charge(local_tokens)
         gate_time = charge[1]
         gate_dram = charge[2] * layers
         gate_comp = charge[3] * layers
@@ -775,27 +826,21 @@ class StageExecutor:
             for start, stop, _ in self._expert_segments:
                 seg_sum = times_mat[:, start:stop].cumsum(axis=1)[:, -1]
                 worst_v = np.maximum(worst_v, seg_sum)
-            charged_layers = layers * self._expert_segments[0][2]
-            dram_blocks.append(d_lut[counts_mat] * charged_layers)
-            comp_blocks.append(c_lut[counts_mat] * charged_layers)
+            dram_blocks.append(d_lut[counts_mat])
+            comp_blocks.append(c_lut[counts_mat])
         else:
             tx_lut, tp_lut, dx_lut, dp_lut, cx_lut, cp_lut = luts
             coprocess = system.expert_coprocessing and system.device.supports_coprocessing
-            for start, stop, multiplicity in self._expert_segments:
+            for start, stop, _ in self._expert_segments:
                 seg = counts_mat[:, start:stop]
-                seg_layers = layers * multiplicity
                 xt = tx_lut[seg]
                 pt = tp_lut[seg]
                 if not coprocess:
                     x_tot = xt.cumsum(axis=1)[:, -1]
                     p_tot = pt.cumsum(axis=1)[:, -1]
                     on_xpu_row = (x_tot <= p_tot)[:, None]
-                    dram_blocks.append(
-                        np.where(on_xpu_row, dx_lut[seg], dp_lut[seg]) * seg_layers
-                    )
-                    comp_blocks.append(
-                        np.where(on_xpu_row, cx_lut[seg], cp_lut[seg]) * seg_layers
-                    )
+                    dram_blocks.append(np.where(on_xpu_row, dx_lut[seg], dp_lut[seg]))
+                    comp_blocks.append(np.where(on_xpu_row, cx_lut[seg], cp_lut[seg]))
                     worst_v = np.maximum(
                         worst_v, np.where(on_xpu_row[:, 0], x_tot, p_tot)
                     )
@@ -810,23 +855,19 @@ class StageExecutor:
                     g_x, g_p = xt, pt
                     gid = None
                 else:
-                    n_groups = len(plan.units)
-                    g_tokens = np.zeros((n_run, n_groups), dtype=np.int64)
-                    g_x = np.zeros((n_run, n_groups))
-                    g_p = np.zeros((n_run, n_groups))
-                    gid = np.empty(stop - start, dtype=np.intp)
-                    for g, members in enumerate(plan.units):
-                        tok = np.zeros(n_run, dtype=np.int64)
-                        xs = np.zeros(n_run)
-                        ps = np.zeros(n_run)
-                        for index in members:
-                            tok = tok + seg[:, index]
-                            xs = xs + xt[:, index]
-                            ps = ps + pt[:, index]
-                            gid[index] = g
-                        g_tokens[:, g] = tok
-                        g_x[:, g] = xs
-                        g_p[:, g] = ps
+                    # Each group's members summed in member order, from
+                    # member 0 (the greedy's 0.0 + m0 + m1 ... exactly),
+                    # all groups at once per member position.
+                    assert self._group_columns is not None
+                    positions, gid = self._group_columns
+                    first = positions[0][1]
+                    g_tokens = seg[:, first]
+                    g_x = xt[:, first]
+                    g_p = pt[:, first]
+                    for groups, members in positions[1:]:
+                        g_tokens[:, groups] += seg[:, members]
+                        g_x[:, groups] += xt[:, members]
+                        g_p[:, groups] += pt[:, members]
                 order = np.argsort(g_tokens, axis=1, kind="stable")
                 rows = np.arange(n_run)[:, None]
                 sorted_x = g_x[rows, order]
@@ -843,10 +884,10 @@ class StageExecutor:
                 ranks[rows, order] = np.arange(order.shape[1])[None, :]
                 on_pim_g = ranks < best_k[:, None]
                 on_pim = on_pim_g if gid is None else on_pim_g[:, gid]
-                dram_blocks.append(np.where(on_pim, 0.0, dx_lut[seg] * seg_layers))
-                dram_blocks.append(np.where(on_pim, dp_lut[seg] * seg_layers, 0.0))
-                comp_blocks.append(np.where(on_pim, 0.0, cx_lut[seg] * seg_layers))
-                comp_blocks.append(np.where(on_pim, cp_lut[seg] * seg_layers, 0.0))
+                dram_blocks.append(np.where(on_pim, 0.0, dx_lut[seg]))
+                dram_blocks.append(np.where(on_pim, dp_lut[seg], 0.0))
+                comp_blocks.append(np.where(on_pim, 0.0, cx_lut[seg]))
+                comp_blocks.append(np.where(on_pim, cp_lut[seg], 0.0))
                 worst_v = np.maximum(worst_v, seg_time)
 
         head_dram = [np.full((n_run, 1), gate_dram)]
@@ -897,12 +938,7 @@ class StageExecutor:
         # positions below.
         fc_charge = None
         if local_tokens > 0:
-            outputs = int(local_ctx.size) + len(local_prefill)
-            fc_key = (local_tokens, outputs)
-            fc_charge = self._fc_stage_cache.get(fc_key)
-            if fc_charge is None:
-                fc_charge = self._build_fc_stage_charge(local_tokens, outputs)
-                self._fc_stage_cache[fc_key] = fc_charge
+            fc_charge = self._fc_charge(local_tokens, int(local_ctx.size) + len(local_prefill))
             latency += fc_charge[0]  # QKV + projection, all layers
             result.time_by_category[OpCategory.FC] = fc_charge[4]
             result.dram_energy_by_category[OpCategory.FC] = fc_charge[5]
@@ -962,6 +998,15 @@ class StageExecutor:
         if latency <= 0:
             raise SimulationError("stage produced non-positive latency")
         return result
+
+    def _fc_charge(self, local_tokens: int, outputs: int) -> tuple:
+        """The cached :meth:`_build_fc_stage_charge` of one composition."""
+        key = (local_tokens, outputs)
+        charge = self._fc_stage_cache.get(key)
+        if charge is None:
+            charge = self._build_fc_stage_charge(local_tokens, outputs)
+            self._fc_stage_cache[key] = charge
+        return charge
 
     def _build_fc_stage_charge(self, local_tokens: int, outputs: int) -> tuple:
         """Fused FC-side charge of one stage composition.
@@ -1028,30 +1073,23 @@ class StageExecutor:
         if workload.total_tokens == 0 or layers == 0:
             return 0.0
         if deterministic:
-            counts = self._expected_counts_cache.get(workload.total_tokens)
-            if counts is None:
-                counts = np.rint(
-                    self._router.expected_counts(workload.total_tokens)
-                ).astype(np.int64)
-                self._expected_counts_cache[workload.total_tokens] = counts
+            counts = self._expected_counts(workload.total_tokens)
         else:
             counts = self._router.route(workload.total_tokens)
 
         gate_time = 0.0
         shared_time = 0.0
         if local_tokens > 0:
-            charge = self._gate_cache.get(local_tokens)
-            if charge is None:
-                gate_unit = self._xpu if self._xpu is not None else self._pim
-                assert gate_unit is not None
-                gate = self.math.gate(local_tokens, self._fc_fraction)
-                charge = self._build_charge(gate_unit, gate, self._fc_replicas())
-                self._gate_cache[local_tokens] = charge
-            gate_time = self._apply_charge(result, charge, layers)
+            gate_time = self._apply_charge(result, self._gate_charge(local_tokens), layers)
             shared = self._shared_expert_charge(local_tokens)
             if shared is not None:
                 shared_time = self._apply_charge(result, shared, layers)
 
+        # A prefill's routed counts exceed anything a decode stage routes
+        # (its bound is n_decode * top_k) and rarely repeat, so they are
+        # priced directly rather than added to the per-count price cache,
+        # which then holds only decode-sized counts.
+        cached = not workload.is_mixed or int(counts.max()) <= workload.n_decode * model.top_k
         # Devices sharing the same count vector (tensor-parallel expert
         # replicas, sharded-expert groups) are priced once via the
         # precomputed segments; energy is still charged per replica via the
@@ -1059,16 +1097,38 @@ class StageExecutor:
         # device's experts in one batched pass; the Duplex family runs the
         # per-device co-processing split.
         if self.system.kind is SystemKind.GPU or self.system.kind is SystemKind.HETERO:
-            worst = self._single_unit_expert_time(result, counts, layers)
+            worst = self._single_unit_expert_time(result, counts, layers, cached)
         else:
             worst = 0.0
             for start, stop, multiplicity in self._expert_segments:
                 worst = max(
                     worst,
-                    self._device_expert_time(result, counts[start:stop], layers * multiplicity),
+                    self._device_expert_time(
+                        result, counts[start:stop], layers * multiplicity, cached
+                    ),
                 )
         result.add_time(OpCategory.MOE, worst * layers)
         return (gate_time + shared_time + worst) * layers
+
+    def _expected_counts(self, total_tokens: int) -> np.ndarray:
+        """Deterministic-gating counts at ``total_tokens`` tokens (cached)."""
+        counts = self._expected_counts_cache.get(total_tokens)
+        if counts is None:
+            assert self._router is not None
+            counts = np.rint(self._router.expected_counts(total_tokens)).astype(np.int64)
+            self._expected_counts_cache[total_tokens] = counts
+        return counts
+
+    def _gate_charge(self, local_tokens: int) -> tuple:
+        """Charge of the MoE gate at one local token count (cached)."""
+        charge = self._gate_cache.get(local_tokens)
+        if charge is None:
+            gate_unit = self._xpu if self._xpu is not None else self._pim
+            assert gate_unit is not None
+            gate = self.math.gate(local_tokens, self._fc_fraction)
+            charge = self._build_charge(gate_unit, gate, self._fc_replica_count)
+            self._gate_cache[local_tokens] = charge
+        return charge
 
     def _shared_expert_charge(self, local_tokens: int) -> tuple | None:
         """Charge of the always-on shared experts at one local token count.
@@ -1095,7 +1155,7 @@ class StageExecutor:
             op = self.math.expert_ffn(0, shard_tokens, 1.0)
             unit = self._min_time_unit(op)
             assert unit is not None
-            base = self._build_charge(unit, op, self._fc_replicas())
+            base = self._build_charge(unit, op, self._fc_replica_count)
             n = model.num_shared_experts
             charge = (base[0], base[1] * n, base[2] * n, base[3] * n)
             self._shared_expert_cache[local_tokens] = charge
@@ -1105,27 +1165,26 @@ class StageExecutor:
         """Scalar price of one expert at one token count, per unit.
 
         (xPU time, dram J, compute J, PIM time, dram J, compute J) —
-        computed once per distinct count via the scalar operator path and
+        computed once per distinct count by :meth:`_price_expert` and
         replayed from the dict afterwards, exactly the paper's runtime
-        lookup table (Section V-B) extended with energies.  Zero-count
-        experts price to exact zeros.
+        lookup table (Section V-B) extended with energies.
         """
         cached = self._expert_price_cache.get(tokens)
         if cached is None:
-            op = self.math.expert_ffn(0, tokens, self._expert_fraction)
-
-            def unit_price(unit: ProcessingUnit | None) -> tuple[float, float, float]:
-                if unit is None:
-                    return (0.0, 0.0, 0.0)
-                return (
-                    unit.op_time(op.flops, op.bytes_read, op.bytes_written),
-                    unit.dram_energy(op.bytes_read, op.bytes_written),
-                    unit.compute_energy(op.flops),
-                )
-
-            cached = unit_price(self._xpu) + unit_price(self._pim)
+            cached = self._price_expert(tokens)
             self._expert_price_cache[tokens] = cached
         return cached
+
+    def _price_expert(self, tokens: int) -> tuple:
+        """:meth:`_expert_price` through the scalar operator path, uncached.
+
+        Zero-count experts price to exact zeros.
+        """
+        fields = self.math.expert_ffn_fields(tokens, self._expert_fraction)
+        xpu, pim = self._xpu, self._pim
+        return (
+            xpu.op_price(*fields) if xpu is not None else (0.0, 0.0, 0.0)
+        ) + (pim.op_price(*fields) if pim is not None else (0.0, 0.0, 0.0))
 
     def _charge_expert_prices(
         self, result: StageResult, prices: list[tuple], indices, offset: int, layers: int
@@ -1143,7 +1202,7 @@ class StageExecutor:
         compute_bucket[OpCategory.MOE] = compute
 
     def _single_unit_expert_time(
-        self, result: StageResult, counts: np.ndarray, layers: int
+        self, result: StageResult, counts: np.ndarray, layers: int, cached: bool = True
     ) -> float:
         """Worst per-device expert time when one unit runs every expert.
 
@@ -1152,7 +1211,8 @@ class StageExecutor:
         per-count price cache for small expert sets, a batched numpy pass
         for large ones — and the per-device makespan is a max over
         precomputed segment sums.  Times, energies, and accumulation order
-        are bit-identical to the per-device path.
+        are bit-identical to the per-device path.  ``cached=False`` prices
+        small expert sets without keeping their counts in the cache.
         """
         if not counts.any():
             return 0.0
@@ -1164,7 +1224,7 @@ class StageExecutor:
         # all devices.
         charged_layers = layers * self._expert_segments[0][2]
         if counts.size <= _SCALAR_EXPERT_MAX:
-            price_of = self._expert_price
+            price_of = self._expert_price if cached else self._price_expert
             prices = [price_of(tokens) for tokens in counts.tolist()]
             offset = 0 if on_gpu else 3
             times = [price[offset] for price in prices]
@@ -1199,20 +1259,23 @@ class StageExecutor:
         return worst
 
     def _device_expert_time(
-        self, result: StageResult, device_counts: np.ndarray, layers: int
+        self, result: StageResult, device_counts: np.ndarray, layers: int, cached: bool = True
     ) -> float:
         """One device's expert time per MoE layer; charges its energy.
 
         All resident experts are priced in one numpy pass (per-expert
         operator fields and roofline times elementwise); energies accumulate
         in the scalar loop's expert order, so the result is bit-identical
-        to per-expert iteration at a fraction of the cost.
+        to per-expert iteration at a fraction of the cost.  Small expert
+        sets take :meth:`_device_expert_time_scalar` instead.
         """
         system = self.system
         if not device_counts.size or not device_counts.any():
             return 0.0
         if device_counts.size <= _SCALAR_EXPERT_MAX:
-            return self._device_expert_time_scalar(result, device_counts.tolist(), layers)
+            return self._device_expert_time_scalar(
+                result, device_counts.tolist(), layers, cached
+            )
         idle = device_counts == 0
         flops, bytes_read, bytes_written = self.math.expert_ffn_arrays(
             device_counts, self._expert_fraction, validate=False, idle=idle
@@ -1245,16 +1308,18 @@ class StageExecutor:
         return assignment.makespan_s
 
     def _device_expert_time_scalar(
-        self, result: StageResult, counts: list[int], layers: int
+        self, result: StageResult, counts: list[int], layers: int, cached: bool = True
     ) -> float:
-        """:meth:`_device_expert_time` on the per-count price cache.
+        """:meth:`_device_expert_time` on scalar per-count prices.
 
         For small expert sets, per-expert dict hits beat the batched array
-        pass; time and energy values are the very scalars the array path
-        (and the original per-operator loop) computes.
+        pass, and so does scalar pricing of counts the cache should not
+        keep (``cached=False``); time and energy values are the very
+        scalars the array path (and the original per-operator loop)
+        computes.
         """
         system = self.system
-        price_of = self._expert_price
+        price_of = self._expert_price if cached else self._price_expert
         prices = [price_of(tokens) for tokens in counts]
         if system.kind is SystemKind.GPU or system.kind is SystemKind.HETERO:
             offset = 0 if system.kind is SystemKind.GPU else 3
@@ -1360,15 +1425,19 @@ class StageExecutor:
         """
         if local_tokens == 0:
             return 0.0
-        cached = self._comm_cache.get(local_tokens)
-        if cached is None:
-            cached = self._communication_cost(local_tokens)
-            self._comm_cache[local_tokens] = cached
-        total, energy = cached
+        total, energy = self._comm_charge(local_tokens)
         if total > 0:
             result.add_time(OpCategory.COMMUNICATION, total)
             result.comm_energy_j += energy
         return total
+
+    def _comm_charge(self, local_tokens: int) -> tuple[float, float]:
+        """The cached :meth:`_communication_cost` of ``local_tokens``."""
+        cached = self._comm_cache.get(local_tokens)
+        if cached is None:
+            cached = self._communication_cost(local_tokens)
+            self._comm_cache[local_tokens] = cached
+        return cached
 
     def _communication_cost(self, local_tokens: int) -> tuple[float, float]:
         """(collective seconds, wire joules) for one stage's local tokens."""

@@ -197,37 +197,28 @@ class LayerMath:
                 cached KV.  None means no prior context.
         """
         m = self.model
-        lengths = np.array(list(prefill_lengths), dtype=np.float64)
-        if context_lengths is None:
-            contexts = np.zeros_like(lengths)
-        else:
-            contexts = np.array(list(context_lengths), dtype=np.float64)
-            if contexts.shape != lengths.shape:
-                raise ConfigError("context_lengths must parallel prefill_lengths")
-        if lengths.size == 0:
-            return Operator("attention_prefill", OpCategory.ATTENTION_PREFILL, 0.0, 0.0, 0.0)
-        if (lengths < 0).any() or (contexts < 0).any():
-            raise ConfigError("prefill lengths must be non-negative")
-        # Elementwise terms mirror the scalar per-request formulas in the
-        # same floating-point operation order; zero-length requests (which
-        # the scalar loop skipped) are masked to contribute exactly nothing.
-        causal_scores = contexts * lengths + 0.5 * lengths * lengths
-        qk_flops = 4.0 * m.n_heads * m.d_head * causal_scores * kv_fraction
-        softmax_flops = SOFTMAX_FLOPS_PER_SCORE * m.n_heads * causal_scores * kv_fraction
-        q_bytes = lengths * m.n_heads * m.d_head * m.dtype_bytes * kv_fraction
-        kv_bytes = (contexts + lengths) * m.kv_bytes_per_token_per_layer * kv_fraction
-        empty = lengths == 0
-        if empty.any():
-            kv_bytes[empty] = 0.0
-        # The scalar loop interleaved the two flop terms per request; a
-        # cumulative sum over the interleaved terms reproduces that exact
-        # left-to-right accumulation bit-for-bit (np.sum would reassociate).
-        interleaved = np.empty(2 * lengths.size)
-        interleaved[0::2] = qk_flops
-        interleaved[1::2] = softmax_flops
-        flops = float(interleaved.cumsum()[-1])
-        bytes_read = float((q_bytes + kv_bytes).cumsum()[-1])
-        bytes_written = float(q_bytes.cumsum()[-1])  # attention output, same shape as Q
+        lengths = list(prefill_lengths)
+        contexts = [0] * len(lengths) if context_lengths is None else list(context_lengths)
+        if len(contexts) != len(lengths):
+            raise ConfigError("context_lengths must parallel prefill_lengths")
+        # A stage carries a handful of prefills, so a Python loop over
+        # them is far cheaper than numpy dispatch.  Zero-length requests
+        # contribute exactly nothing.
+        flops = 0.0
+        bytes_read = 0.0
+        bytes_written = 0.0
+        for length, past in zip(lengths, contexts):
+            if length < 0 or past < 0:
+                raise ConfigError("prefill lengths must be non-negative")
+            if length == 0:
+                continue
+            causal_scores = past * length + 0.5 * length * length
+            flops += 4.0 * m.n_heads * m.d_head * causal_scores * kv_fraction
+            flops += SOFTMAX_FLOPS_PER_SCORE * m.n_heads * causal_scores * kv_fraction
+            q_bytes = length * m.n_heads * m.d_head * m.dtype_bytes * kv_fraction
+            kv_bytes = (past + length) * m.kv_bytes_per_token_per_layer * kv_fraction
+            bytes_read += q_bytes + kv_bytes
+            bytes_written += q_bytes  # attention output, same shape as Q
         return Operator(
             "attention_prefill", OpCategory.ATTENTION_PREFILL, flops, bytes_read, bytes_written
         )
@@ -254,21 +245,25 @@ class LayerMath:
         A zero-token expert costs nothing: its weights are never streamed.
         """
         self._check_tokens(n_tokens)
-        m = self.model
-        if not m.is_moe:
-            raise ConfigError(f"{m.name} has no MoE layers")
+        if not self.model.is_moe:
+            raise ConfigError(f"{self.model.name} has no MoE layers")
+        return Operator(
+            f"expert[{expert_id}]", OpCategory.MOE, *self.expert_ffn_fields(n_tokens, expert_fraction)
+        )
+
+    def expert_ffn_fields(
+        self, n_tokens: float, expert_fraction: float = 1.0
+    ) -> tuple[float, float, float]:
+        """:meth:`expert_ffn`'s (flops, bytes read, bytes written), no
+        Operator and no checks — the stage executor's per-count hot path.
+        """
         if n_tokens == 0:
-            return Operator(f"expert[{expert_id}]", OpCategory.MOE, 0.0, 0.0)
+            return 0.0, 0.0, 0.0
+        m = self.model
         params = m.expert_params * expert_fraction
         flops = 2.0 * n_tokens * params + n_tokens * m.intermediate * expert_fraction
         act = n_tokens * m.hidden * m.dtype_bytes
-        return Operator(
-            f"expert[{expert_id}]",
-            OpCategory.MOE,
-            flops,
-            params * m.dtype_bytes + act,
-            act * expert_fraction,
-        )
+        return flops, params * m.dtype_bytes + act, act * expert_fraction
 
     def expert_ffns(
         self, tokens_per_expert: dict[int, int] | np.ndarray, expert_fraction: float = 1.0
@@ -333,38 +328,3 @@ class LayerMath:
         if n_tokens < 0:
             raise ConfigError("token count must be non-negative")
 
-
-def attention_prefill_reference(
-    math: LayerMath,
-    prefill_lengths: Iterable[int],
-    kv_fraction: float = 1.0,
-    context_lengths: Iterable[int] | None = None,
-) -> Operator:
-    """The pre-vectorization scalar prefill-attention loop, kept as an oracle.
-
-    Property tests assert :meth:`LayerMath.attention_prefill` reproduces this
-    accumulation bit-for-bit; it is not used on any serving path.
-    """
-    m = math.model
-    lengths = list(prefill_lengths)
-    contexts = [0] * len(lengths) if context_lengths is None else list(context_lengths)
-    if len(contexts) != len(lengths):
-        raise ConfigError("context_lengths must parallel prefill_lengths")
-    flops = 0.0
-    bytes_read = 0.0
-    bytes_written = 0.0
-    for length, past in zip(lengths, contexts, strict=True):
-        if length < 0 or past < 0:
-            raise ConfigError("prefill lengths must be non-negative")
-        if length == 0:
-            continue
-        causal_scores = past * length + 0.5 * length * length
-        flops += 4.0 * m.n_heads * m.d_head * causal_scores * kv_fraction
-        flops += SOFTMAX_FLOPS_PER_SCORE * m.n_heads * causal_scores * kv_fraction
-        q_bytes = length * m.n_heads * m.d_head * m.dtype_bytes * kv_fraction
-        kv_bytes = (past + length) * m.kv_bytes_per_token_per_layer * kv_fraction
-        bytes_read += q_bytes + kv_bytes
-        bytes_written += q_bytes
-    return Operator(
-        "attention_prefill", OpCategory.ATTENTION_PREFILL, flops, bytes_read, bytes_written
-    )

@@ -596,7 +596,8 @@ class ServingEngine:
         #: (what would the skipped prefill have cost?) through the real
         #: executor, cached per token count like the paging replay cache.
         self._prefix_enabled = getattr(scheduler, "prefix", None) is not None
-        self._prefix_price_cache: dict[int, StageResult] = {}
+        #: Hit size -> (saved seconds, saved joules).
+        self._prefix_price_cache: dict[int, tuple[float, float]] = {}
 
     # ------------------------------------------------------------------
     # clock
@@ -632,12 +633,26 @@ class ServingEngine:
     # ------------------------------------------------------------------
     # one stage
     # ------------------------------------------------------------------
-    def step(self, limits: SimulationLimits, admit: bool = True) -> bool:
+    def step(
+        self,
+        limits: SimulationLimits,
+        admit: bool = True,
+        until_s: float | None = None,
+        sim_time_s: float | None = None,
+    ) -> bool:
         """Run one stage if work is available; True when one ran.
 
         Args:
             admit: run admission inside stage construction (default); the
                 split prefill partition admits separately at decode time.
+            until_s: when given, an admission stage that opens a steady
+                decode run is priced together with that run (one kernel
+                call, :meth:`_price_admission_run`); the run's stages that
+                start before ``until_s`` are committed and the rest stay
+                open, exactly as :meth:`_advance_open_run` leaves them.
+                None (default) runs exactly one stage.
+            sim_time_s: :meth:`run`'s simulated-time limit, which such a
+                run never crosses.
         """
         if self.budget_spent(limits):
             return False
@@ -660,7 +675,10 @@ class ServingEngine:
         preempted, resumed = scheduler.drain_paging_events()
         if self._prefix_enabled:
             self._record_prefix_admissions()
-        result = self.executor.run_stage(workload)
+        run = None
+        if until_s is not None and prefilling:
+            run = self._price_admission_run(workload, limits, sim_time_s)
+        result = run.pricing.first if run is not None else self.executor.run_stage(workload)
         latency_s = result.latency_s
         if self.fault_profile is not None:
             # Straggler windows stretch wall-clock, not energy: a
@@ -726,6 +744,14 @@ class ServingEngine:
             )
             for observer in self.observers:
                 observer(event)
+        if run is not None:
+            run.done = 1
+            if run.n == 1:
+                self._close_run(run)
+            else:
+                self._open_run(run)
+                if until_s > self.now_s:
+                    self._advance_open_run(until_s, limits)
         return True
 
     def _record_prefix_admissions(self) -> None:
@@ -745,20 +771,21 @@ class ServingEngine:
             saved_s = 0.0
             saved_j = 0.0
             if hit:
-                result = self._prefix_price_cache.get(hit)
-                if result is None:
+                saved = self._prefix_price_cache.get(hit)
+                if saved is None:
                     workload = StageWorkload(
                         decode_context_lengths=np.asarray([], dtype=np.int64),
                         prefill_lengths=(hit,),
                     )
                     result = self.executor.run_stage(workload)
-                    self._prefix_price_cache[hit] = result
-                saved_s = result.latency_s
-                saved_j = (
-                    sum(result.dram_energy_by_category.values())
-                    + sum(result.compute_energy_by_category.values())
-                    + result.comm_energy_j
-                )
+                    saved = (
+                        result.latency_s,
+                        sum(result.dram_energy_by_category.values())
+                        + sum(result.compute_energy_by_category.values())
+                        + result.comm_energy_j,
+                    )
+                    self._prefix_price_cache[hit] = saved
+                saved_s, saved_j = saved
             self.metrics.record_prefix_admission(
                 hit_tokens=hit, miss_tokens=miss, saved_s=saved_s, saved_energy_j=saved_j
             )
@@ -800,6 +827,72 @@ class ServingEngine:
         prefix of the run's stages may be committed with
         :meth:`_commit_run`; :meth:`_close_run` rewinds the rest.
         """
+        price_run = self._run_pricer(limits)
+        if price_run is None:
+            return None
+        scheduler = self.scheduler
+        threshold = self._horizon(scheduler.steady_run_threshold())
+        if threshold is None:
+            return None
+        cap = self._run_cap(limits, scheduler.steady_min_remaining(), threshold, first=False)
+        if cap < 2:
+            return None
+        pricing = price_run(scheduler.steady_context_base(), cap)
+        if pricing is None:
+            return None
+        run = self._steady_run(pricing, threshold, limits, sim_time_s)
+        if run.n < 2:
+            self.executor.rewind_decode_run(pricing, 0)
+            return None
+        return run
+
+    def _price_admission_run(
+        self, workload: StageWorkload, limits: SimulationLimits, sim_time_s: float | None
+    ) -> _SteadyRun | None:
+        """Price the admission stage just built together with the steady
+        decode run it opens.
+
+        The scheduler decides before pricing whether the batch after the
+        stage is steady (:meth:`~repro.serving.scheduler.ContinuousBatchingScheduler.admission_run_threshold`);
+        then one :meth:`~repro.core.executor.StageExecutor.price_decode_run`
+        call prices the stage as row 1 and the run as rows ``2..n``.  The
+        returned run's ``n`` counts the admission stage, and its ``pricing.first``
+        is exactly what :meth:`step`'s scalar ``run_stage`` would return,
+        so stage 1 is committed by the scalar bookkeeping and the rest as
+        :meth:`_price_run`'s runs are: capped by the same threshold,
+        warm-up, budget, completion and ``sim_time_s`` rules, evaluated
+        for the batch after stage 1.  None when the stage must be priced
+        alone.
+        """
+        price_run = self._run_pricer(limits)
+        if price_run is None:
+            return None
+        scheduler = self.scheduler
+        admission = scheduler.admission_run_threshold()
+        if admission is None:
+            return None
+        threshold = self._horizon(admission[0])
+        if threshold is None:
+            return None
+        # Within the budget before stage 1, so cap >= 0: a run the budget
+        # ends at its admission stage still prices that stage here.
+        cap = self._run_cap(limits, admission[1], threshold, first=True)
+        pricing = price_run(scheduler.admission_run_base(), 1 + cap, first=workload)
+        if pricing is None:
+            return None
+        return self._steady_run(pricing, threshold, limits, sim_time_s)
+
+    def _run_pricer(self, limits: SimulationLimits) -> Callable | None:
+        """The executor's run kernel, or None while runs are disarmed.
+
+        A run happens only when nothing can observe or perturb its
+        intermediate stages — no observers, handoff, or record-gate
+        override — within the stage budget.  Incapable executors are
+        disqualified before the scheduler is touched: memoized pricing
+        quantizes compositions (``price_decode_run`` would return None
+        anyway), and the threshold/min-remaining probes are not free —
+        too much to pay on every scalar step.
+        """
         if (
             not self.columnar
             or not self._steady_capable
@@ -809,15 +902,14 @@ class ServingEngine:
             or self.budget_spent(limits)
         ):
             return None
-        # Disqualify incapable executors before touching the scheduler:
-        # memoized pricing quantizes compositions (price_decode_run would
-        # return None anyway), and the threshold/min-remaining probes below
-        # are not free — too much to pay on every scalar step.
         price_run = getattr(self.executor, "price_decode_run", None)
         if price_run is None or getattr(self.executor, "memoize", False):
             return None
-        scheduler = self.scheduler
-        threshold = scheduler.steady_run_threshold()
+        return price_run
+
+    def _horizon(self, threshold: float | None) -> float | None:
+        """The scheduler's steady threshold, capped at the next straggler
+        window edge; None when no stage starting now can join a run."""
         now = self.now_s
         if threshold is None or threshold <= now:
             # A threshold at or before the clock (a request routed here
@@ -833,44 +925,63 @@ class ServingEngine:
             if profile.scale_at(now) != 1.0:
                 return None
             threshold = min(threshold, profile.next_change_s(now))
-        cap = min(scheduler.steady_min_remaining(), _RUN_CAP)
-        stages = self.stages
+        return threshold
+
+    def _run_cap(
+        self, limits: SimulationLimits, remaining: int, threshold: float, first: bool
+    ) -> int:
+        """Decode stages a run may price: up to the first completion
+        (``remaining``), the run cap, the warm-up edge and the stage
+        budget, counted from after the admission stage when ``first``."""
+        stages, measured = self.stages, self.measured
         warmup = limits.warmup_stages
+        if first:
+            stages += 1
+            measured += stages > warmup
+        cap = min(remaining, _RUN_CAP)
         if stages < warmup:
             cap = min(cap, warmup - stages)  # runs never straddle warm-up
         if not self.budget_exempt:
             cap = min(
                 cap,
-                limits.max_stages - self.measured,
+                limits.max_stages - measured,
                 warmup + limits.max_stages - stages,
             )
         if threshold != float("inf") and self._last_latency_s > 0.0:
             # Cheap pre-truncation so a near-threshold attempt does not
             # price stages that cannot fit (any cap is exact — this only
             # sizes the batch, the searchsorted below decides membership).
-            estimate = int((threshold - now) / self._last_latency_s) + 2
+            estimate = int((threshold - self.now_s) / self._last_latency_s) + 2
             cap = min(cap, estimate)
-        if cap < 2:
-            return None
-        pricing = price_run(scheduler.steady_context_base(), cap)
-        if pricing is None:
-            return None
+        return cap
+
+    def _steady_run(
+        self,
+        pricing: DecodeRunPricing,
+        threshold: float,
+        limits: SimulationLimits,
+        sim_time_s: float | None,
+    ) -> _SteadyRun:
+        """Size a priced run: its stages that start before ``threshold``,
+        ending with the first whose end reaches ``sim_time_s``."""
         # boundaries[k] is the clock after stage k; the seeded cumulative
         # sum reproduces the scalar `now_s += latency` chain bit for bit.
-        boundaries = np.concatenate(([now], pricing.latencies)).cumsum()
-        n = cap
+        boundaries = np.concatenate(([self.now_s], pricing.latencies)).cumsum()
+        n = pricing.n_stages
         if threshold != float("inf"):
             # A stage joins the run iff it *starts* strictly before the
             # threshold — at the threshold instant the scalar loop would
             # drain an arrival / land a resume at that stage boundary.
             n = min(n, int(np.searchsorted(boundaries[:-1], threshold, side="left")))
+        # The engine's stage count where the decode stages begin.
+        stages = self.stages + (pricing.first is not None)
+        warmup = limits.warmup_stages
         if sim_time_s is not None and stages >= warmup:
             # run() stops after the first stage whose *end* reaches the
             # simulated-time limit — that stage itself still executes.
+            # (An admission stage that ends the warm-up cannot stop it,
+            # so there this cuts a run short, never too long.)
             n = min(n, int(np.searchsorted(boundaries[1:], sim_time_s, side="left")) + 1)
-        if n < 2:
-            self.executor.rewind_decode_run(pricing, 0)
-            return None
         # No straddling: the whole run is measured, or none of it is.
         return _SteadyRun(pricing, boundaries, n, in_window=stages >= warmup)
 
@@ -896,12 +1007,16 @@ class ServingEngine:
         if in_window:
             self.measured += m
             whole = m == pricing.n_stages
+            # Energies cover the decode stages only: a run opened by an
+            # admission stage priced (and committed) that stage apart.
+            skip = int(pricing.first is not None)
+            a, b = lo - skip, k - skip
             components = [
-                (_DRAM_KEYS[category], joules if whole else joules[lo:k])
+                (_DRAM_KEYS[category], joules if whole else joules[a:b])
                 for category, joules in zip(pricing.categories, pricing.dram, strict=True)
             ]
             components += [
-                (_COMPUTE_KEYS[category], joules if whole else joules[lo:k])
+                (_COMPUTE_KEYS[category], joules if whole else joules[a:b])
                 for category, joules in zip(pricing.categories, pricing.compute, strict=True)
             ]
             self.metrics.record_decode_run(
@@ -943,11 +1058,15 @@ class ServingEngine:
             run = self._price_run(limits)
             if run is None:
                 return False
-            self._open = run
-            self.lazy_until_s = float(run.boundaries[run.n - 1])
+            self._open_run(run)
         k = int(np.searchsorted(run.boundaries[:-1], t, side="left"))
         self._commit_run(run, min(k, run.n))
         return True
+
+    def _open_run(self, run: _SteadyRun) -> None:
+        """Leave ``run`` open for later :meth:`advance_to` calls."""
+        self._open = run
+        self.lazy_until_s = float(run.boundaries[run.n - 1])
 
     def close_run(self) -> None:
         """Drop the open run's uncommitted stages (see :meth:`advance_to`).
@@ -979,7 +1098,10 @@ class ServingEngine:
     def run(self, limits: SimulationLimits) -> ServingReport:
         """Run to the limits (or source exhaustion) and return the report."""
         while not self.budget_spent(limits):
-            if self._attempt_steady_run(limits, limits.max_sim_time_s) or self.step(limits):
+            sim_time_s = limits.max_sim_time_s
+            if self._attempt_steady_run(limits, sim_time_s) or self.step(
+                limits, until_s=float("inf"), sim_time_s=sim_time_s
+            ):
                 if self.stages > limits.warmup_stages:
                     if (
                         limits.target_completions is not None
@@ -1018,7 +1140,7 @@ class ServingEngine:
         reach, and :meth:`close_run` drops the open stages.
         """
         while self.now_s < t:
-            if self._advance_open_run(t, limits) or self.step(limits):
+            if self._advance_open_run(t, limits) or self.step(limits, until_s=t):
                 continue
             # Idle (or out of stage budget): jump to the next queued
             # arrival, or to t if the source is quiet until then.
@@ -1039,7 +1161,9 @@ class ServingEngine:
     def drain(self, limits: SimulationLimits) -> None:
         """Finish everything queued here (until the stage budget runs out)."""
         while not self.budget_spent(limits):
-            if self._advance_open_run(float("inf"), limits) or self.step(limits):
+            if self._advance_open_run(float("inf"), limits) or self.step(
+                limits, until_s=float("inf")
+            ):
                 continue
             next_event = self._next_event_s()
             if next_event == float("inf"):
@@ -1059,7 +1183,7 @@ class ServingEngine:
         open for the next slice.
         """
         while self.now_s < t and not self.budget_spent(limits):
-            if self._advance_open_run(t, limits) or self.step(limits):
+            if self._advance_open_run(t, limits) or self.step(limits, until_s=t):
                 continue
             next_event = self._next_event_s()
             if next_event == float("inf") or next_event > t:

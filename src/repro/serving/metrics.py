@@ -285,23 +285,25 @@ class MetricsCollector:
             raise SimulationError("stage latency must be positive")
         self._stages_total += n
         self._tokens += decode_tokens * n
-        self._elapsed_s = float(
-            np.concatenate(([self._elapsed_s], latencies)).cumsum()[-1]
-        )
-        self._busy_s = float(np.concatenate(([self._busy_s], latencies)).cumsum()[-1])
         if decode_tokens > 0:
             self._tbt_values.frombytes(np.asarray(latencies, dtype=np.float64).tobytes())
             self._tbt_weights.extend(array("d", (float(decode_tokens),)) * n)
         components = self._energy_by_component
-        for key, joules in energy_components:
-            components[key] = float(
-                np.concatenate(([components.get(key, 0.0)], joules)).cumsum()[-1]
-            )
+        keys = [key for key, _ in energy_components]
+        rows: list = [latencies, latencies] + [joules for _, joules in energy_components]
         if comm_energy_per_stage_j:
-            fabric = np.full(n, comm_energy_per_stage_j)
-            components["fabric"] = float(
-                np.concatenate(([components.get("fabric", 0.0)], fabric)).cumsum()[-1]
-            )
+            keys.append("fabric")
+            rows.append(comm_energy_per_stage_j)
+        # Every accumulator is one row, seeded with its running total; a
+        # cumulative sum along the rows adds each left to right.
+        block = np.empty((len(rows), n + 1))
+        block[:, 0] = [self._elapsed_s, self._busy_s] + [components.get(key, 0.0) for key in keys]
+        for row, values in enumerate(rows):
+            block[row, 1:] = values
+        totals = block.cumsum(axis=1)[:, -1].tolist()
+        self._elapsed_s, self._busy_s = totals[0], totals[1]
+        for key, total in zip(keys, totals[2:], strict=True):
+            components[key] = total
 
     def _add_energy(
         self,

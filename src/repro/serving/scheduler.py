@@ -601,6 +601,11 @@ class ContinuousBatchingScheduler:
         """
         if self._prefilling or not self.running:
             return None
+        return self._steady_threshold()
+
+    def _steady_threshold(self) -> float | None:
+        """:meth:`steady_run_threshold` of a non-empty batch that decodes
+        (or will, once the stage just built completes)."""
         paging = self.paging
         batch_full = (
             len(self.running) + (paging.in_transit_count if paging is not None else 0)
@@ -624,6 +629,48 @@ class ContinuousBatchingScheduler:
         elif not queue_inert:
             threshold = min(threshold, self.source.peek_arrival())
         return threshold
+
+    def admission_run_threshold(self) -> tuple[float, int] | None:
+        """Whether the stage just built opens a steady run, decided before
+        it is priced.
+
+        It does when every prefill of the stage finishes in it (a final
+        chunk) and no request finishes in it (a prefill's first token may
+        be its last): the batch after the stage is then the same rows, all
+        decoding, and stage completion changes nothing
+        :meth:`steady_run_threshold` reads besides the phase column.
+        Returns ``(threshold, stages)`` — the threshold that batch will
+        have, and the decode stages after this one up to and including
+        the first completion — or None.
+        """
+        chunks = self._stage_chunks
+        for request in self._prefilling:
+            if chunks.get(request.request_id) != request.remaining_prefill:
+                return None
+        table = self.table
+        n = len(self.running)
+        # A prefilling row has emitted nothing; after this stage every row
+        # has one token fewer to go.
+        remaining = int((table.output_len[:n] - table.tokens_generated[:n]).min()) - 1
+        if remaining < 1:
+            return None
+        threshold = self._steady_threshold()
+        if threshold is None:
+            return None
+        # Exact for the decoding rows; complete_stage then lands it on the
+        # batch's fewest remaining, so the run's commit needs no search.
+        self._done_in = remaining + 1
+        return threshold, remaining
+
+    def admission_run_base(self) -> np.ndarray:
+        """:meth:`steady_context_base` of the batch after the stage just
+        built (run stage ``k >= 2`` prices at ``base + k``): decoding rows
+        one token on, finishing prefills at their input length."""
+        n = len(self.running)
+        base = self.table.context_len[:n] - 1
+        for request in self._prefilling:
+            base[self.table.row_of(request)] = request.input_len - 2
+        return base
 
     def steady_context_base(self) -> np.ndarray:
         """Context-length vector of the last stage (run stage k prices at

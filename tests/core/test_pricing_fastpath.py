@@ -5,10 +5,14 @@ byte-for-byte; these tests pin the *mechanism* — every vectorized pricing
 primitive must reproduce its retained scalar reference bit-for-bit, for
 randomized inputs far beyond what the goldens exercise:
 
-* :meth:`LayerMath.attention_prefill` vs :func:`attention_prefill_reference`
-  (the pre-vectorization per-request loop);
+* :meth:`LayerMath.attention_prefill` (a per-request Python loop) vs
+  :func:`attention_prefill_numpy` below (the same terms as masked arrays
+  summed by a cumulative sum — an independent formulation);
 * :meth:`LayerMath.expert_ffn_arrays` vs per-expert :meth:`LayerMath.expert_ffn`;
 * :meth:`ProcessingUnit.op_times` / energy batches vs the scalar calls;
+* :meth:`LayerMath.expert_ffn_fields` + :meth:`ProcessingUnit.op_price`
+  (the uncached per-count price of one-off expert counts) vs the scalar
+  operator and its three unit calls;
 * :func:`assign_experts` (stable argsort + seeded cumulative sums, with the
   scalar small-count path) vs :func:`assign_experts_reference` (the
   original iterative greedy), with and without memory-space groups.
@@ -30,10 +34,51 @@ from repro.core.coprocessing import (  # noqa: E402
 )
 from repro.hardware.specs import h100_xpu, logic_pim_unit  # noqa: E402
 from repro.models.config import glam, mixtral  # noqa: E402
-from repro.models.layers import LayerMath, attention_prefill_reference  # noqa: E402
+from repro.errors import ConfigError  # noqa: E402
+from repro.models.layers import SOFTMAX_FLOPS_PER_SCORE, LayerMath  # noqa: E402
+from repro.models.ops import OpCategory, Operator  # noqa: E402
 
 MODELS = {"mixtral": mixtral(), "glam": glam()}
 FRACTIONS = (1.0, 0.5, 0.25, 1.0 / 3.0, 0.125)
+
+def attention_prefill_numpy(math, prefill_lengths, kv_fraction=1.0, context_lengths=None):
+    """Prefill attention as elementwise arrays: the oracle the loop is pinned to.
+
+    Every per-request term is computed in the loop's floating-point
+    operation order; zero-length requests are masked to contribute
+    nothing, and a cumulative sum over the interleaved flop terms
+    reproduces the loop's left-to-right accumulation (``np.sum`` would
+    reassociate).
+    """
+    m = math.model
+    lengths = np.array(list(prefill_lengths), dtype=np.float64)
+    if context_lengths is None:
+        contexts = np.zeros_like(lengths)
+    else:
+        contexts = np.array(list(context_lengths), dtype=np.float64)
+        if contexts.shape != lengths.shape:
+            raise ConfigError("context_lengths must parallel prefill_lengths")
+    if lengths.size == 0:
+        return Operator("attention_prefill", OpCategory.ATTENTION_PREFILL, 0.0, 0.0, 0.0)
+    if (lengths < 0).any() or (contexts < 0).any():
+        raise ConfigError("prefill lengths must be non-negative")
+    causal_scores = contexts * lengths + 0.5 * lengths * lengths
+    qk_flops = 4.0 * m.n_heads * m.d_head * causal_scores * kv_fraction
+    softmax_flops = SOFTMAX_FLOPS_PER_SCORE * m.n_heads * causal_scores * kv_fraction
+    q_bytes = lengths * m.n_heads * m.d_head * m.dtype_bytes * kv_fraction
+    kv_bytes = (contexts + lengths) * m.kv_bytes_per_token_per_layer * kv_fraction
+    kv_bytes[lengths == 0] = 0.0
+    interleaved = np.empty(2 * lengths.size)
+    interleaved[0::2] = qk_flops
+    interleaved[1::2] = softmax_flops
+    return Operator(
+        "attention_prefill",
+        OpCategory.ATTENTION_PREFILL,
+        float(interleaved.cumsum()[-1]),
+        float((q_bytes + kv_bytes).cumsum()[-1]),
+        float(q_bytes.cumsum()[-1]),
+    )
+
 
 lengths_strategy = st.lists(st.integers(0, 8192), min_size=1, max_size=12)
 counts_strategy = st.lists(st.integers(0, 8000), min_size=1, max_size=70)
@@ -47,16 +92,16 @@ counts_strategy = st.lists(st.integers(0, 8000), min_size=1, max_size=70)
     kv_fraction=st.sampled_from(FRACTIONS),
     with_contexts=st.booleans(),
 )
-def test_attention_prefill_matches_scalar_reference(
+def test_attention_prefill_matches_array_oracle(
     model_key, lengths, contexts, kv_fraction, with_contexts
 ):
     math = LayerMath(MODELS[model_key])
     ctx = contexts[: len(lengths)] if with_contexts else None
-    vectorized = math.attention_prefill(lengths, kv_fraction, ctx)
-    reference = attention_prefill_reference(math, lengths, kv_fraction, ctx)
-    assert vectorized.flops == reference.flops
-    assert vectorized.bytes_read == reference.bytes_read
-    assert vectorized.bytes_written == reference.bytes_written
+    looped = math.attention_prefill(lengths, kv_fraction, ctx)
+    oracle = attention_prefill_numpy(math, lengths, kv_fraction, ctx)
+    assert looped.flops == oracle.flops
+    assert looped.bytes_read == oracle.bytes_read
+    assert looped.bytes_written == oracle.bytes_written
 
 
 @settings(max_examples=60, deadline=None)
@@ -94,6 +139,27 @@ def test_op_time_and_energy_batches_match_scalar(counts, fraction, unit_key):
         assert compute[i] == unit.compute_energy(float(flops[i]))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    model_key=st.sampled_from(sorted(MODELS)),
+    counts=counts_strategy,
+    fraction=st.sampled_from(FRACTIONS),
+    unit_key=st.sampled_from(("xpu", "pim")),
+)
+def test_expert_fields_and_op_price_match_scalar_operators(model_key, counts, fraction, unit_key):
+    math = LayerMath(MODELS[model_key])
+    unit = h100_xpu() if unit_key == "xpu" else logic_pim_unit()
+    for tokens in counts:
+        op = math.expert_ffn(0, tokens, fraction)
+        fields = math.expert_ffn_fields(tokens, fraction)
+        assert fields == (op.flops, op.bytes_read, op.bytes_written)
+        assert unit.op_price(*fields) == (
+            unit.op_time(*fields),
+            unit.dram_energy(op.bytes_read, op.bytes_written),
+            unit.compute_energy(op.flops),
+        )
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     model_key=st.sampled_from(sorted(MODELS)),
@@ -125,7 +191,7 @@ def test_zero_and_empty_edge_cases_match():
     assert outcome.makespan_s == 0.0
     # empty prefill
     vec = math.attention_prefill([])
-    ref = attention_prefill_reference(math, [])
+    ref = attention_prefill_numpy(math, [])
     assert (vec.flops, vec.bytes_read, vec.bytes_written) == (
         ref.flops,
         ref.bytes_read,
@@ -133,7 +199,7 @@ def test_zero_and_empty_edge_cases_match():
     )
     # zero-length requests are skipped exactly
     vec = math.attention_prefill([0, 64, 0], 0.5, [10, 20, 30])
-    ref = attention_prefill_reference(math, [0, 64, 0], 0.5, [10, 20, 30])
+    ref = attention_prefill_numpy(math, [0, 64, 0], 0.5, [10, 20, 30])
     assert (vec.flops, vec.bytes_read, vec.bytes_written) == (
         ref.flops,
         ref.bytes_read,

@@ -13,10 +13,13 @@ Two layers (tier 1 — see TESTING.md):
   finished ids in the same order, same completion/shed/admission
   ledgers, same virtual clocks, and an identical ``ServingReport`` —
   across all 8 invariant-suite configurations, a saturated
-  SLO-shedding shape and two saturated fleets whose replicas crash and
-  re-route their queues (one with a split replica), plus both paging
-  policies under heavy preemption, with every request's progress equal
-  at checkpoints inside runs.
+  SLO-shedding shape, two saturated fleets whose replicas crash and
+  re-route their queues (one with a split replica), and the edges of
+  admission runs (chunked prefill, one-token outputs, prefix hits,
+  straggler windows, the warm-up edge, a simulated-time limit), plus
+  both paging policies under heavy preemption, with every request's
+  progress equal at checkpoints inside runs.  The oracle tests carry the
+  ``columnar`` marker.
   Exact equality is deliberately stronger than the issue's 1e-9
   tolerance: the fast path is built from bit-stable primitives, so any
   drift is a bug.
@@ -40,11 +43,17 @@ from repro.serving.cluster import (  # noqa: E402
     SplitReplicaSpec,
 )
 from repro.serving.columnar import EventClock, RequestTable  # noqa: E402
-from repro.serving.faults import FaultConfig, FaultInjector, RetryPolicy  # noqa: E402
+from repro.serving.faults import (  # noqa: E402
+    FaultConfig,
+    FaultInjector,
+    RetryPolicy,
+    StageTimeProfile,
+)
 from repro.serving.generator import WorkloadSpec  # noqa: E402
-from repro.serving.paging import EvictionPolicy, PagingConfig  # noqa: E402
-from repro.serving.policy import SloAwarePolicy  # noqa: E402
+from repro.serving.paging import EvictionPolicy, PagingConfig, PrefixConfig  # noqa: E402
+from repro.serving.policy import ChunkedPrefillPolicy, SloAwarePolicy  # noqa: E402
 from repro.serving.request import Request  # noqa: E402
+from repro.serving.scenarios import AgentLoopShape, agent_loop  # noqa: E402
 from repro.serving.simulator import ServingSimulator, SimulationLimits  # noqa: E402
 
 from test_invariants import CONFIGURATIONS, Probe, spec_strategy  # noqa: E402
@@ -241,6 +250,87 @@ def _crash_fleet(replicas):
     return build
 
 
+def _warm_full(spec_params, seed, limits=None, spec=(), **kwargs):
+    """A warm closed loop at batch 4: every completion admits one request,
+    and the admission stage opens the next steady run.  ``spec`` overrides
+    workload fields."""
+    lin, lout, lin_cv, lout_cv = spec_params
+    fields = dict(lin_mean=lin, lout_mean=4 * lout, lin_cv=lin_cv, lout_cv=lout_cv)
+    fields.update(spec)
+    sim = ServingSimulator(
+        SYSTEM, MODEL, WorkloadSpec(**fields), max_batch=4, seed=seed, **kwargs
+    )
+    limits = limits or SimulationLimits(max_stages=200, warmup_stages=6)
+    return sim, limits
+
+
+def _build_chunked_full(spec_params, seed):
+    """Chunked prefill on a saturated batch: a non-final chunk leaves its
+    request prefilling, so only the stage with its final chunk may open a
+    run."""
+    lin, lout, lin_cv, lout_cv = spec_params
+    sim, limits = _warm_full(
+        (4 * lin, lout, lin_cv, lout_cv), seed,
+        policy=ChunkedPrefillPolicy(max_prefill_tokens=64),
+    )
+    return lambda: sim.run(limits), Probe(sim.engines), None
+
+
+def _build_one_token_outputs(spec_params, seed):
+    """Outputs of one to three tokens: a one-token request finishes at its
+    prefill, so its admission stage opens no run."""
+    sim, limits = _warm_full(
+        spec_params, seed, spec={"lout_mean": 2.0, "lout_cv": 0.6, "min_len": 1}
+    )
+    return lambda: sim.run(limits), Probe(sim.engines), None
+
+
+def _build_prefix_hits(spec_params, seed):
+    """Agent-loop sessions over a shared prefix pool: cache hits price
+    their saved prefill through the stage executor (a gating draw) before
+    the admission stage is priced."""
+    lin, lout, _, _ = spec_params
+    shape = AgentLoopShape(
+        context_tokens=4 * lin, observation_mean=lin, action_mean=4 * lout, tool_mean_s=0.05
+    )
+    source = agent_loop(shape=shape).at_qps(60.0).source(seed=seed, max_requests=60)
+    sim = ServingSimulator(
+        SYSTEM, MODEL, source, max_batch=4, seed=seed, prefix=PrefixConfig(capacity_tokens=4096)
+    )
+    limits = SimulationLimits(max_stages=300, warmup_stages=6)
+    return lambda: sim.run(limits), Probe(sim.engines), None
+
+
+def _build_straggler_windows(spec_params, seed):
+    """Straggler windows on a saturated engine: no run is priced inside a
+    window, and none crosses a window's edge."""
+    sim, limits = _warm_full(spec_params, seed)
+    rng = np.random.default_rng(seed)
+    starts = np.cumsum(rng.uniform(0.02, 0.12, size=12))
+    sim.engine.fault_profile = StageTimeProfile(
+        tuple((float(t), float(t) + 0.015, 2.0) for t in starts)
+    )
+    return lambda: sim.run(limits), Probe(sim.engines), None
+
+
+def _build_warmup_edge(spec_params, seed):
+    """A warm-up length that varies with the seed, so the warm-up edge
+    falls on admission stages and inside the runs they open."""
+    limits = SimulationLimits(max_stages=120, warmup_stages=1 + seed % 37)
+    sim, limits = _warm_full(spec_params, seed, limits=limits)
+    return lambda: sim.run(limits), Probe(sim.engines), None
+
+
+def _build_sim_time_limit(spec_params, seed):
+    """A simulated-time limit that varies with the seed: the run stops
+    after the first stage reaching it, admission stage or not."""
+    limits = SimulationLimits(
+        max_stages=10**6, warmup_stages=1 + seed % 11, max_sim_time_s=0.05 + (seed % 97) * 0.004
+    )
+    sim, limits = _warm_full(spec_params, seed, limits=limits)
+    return lambda: sim.run(limits), Probe(sim.engines), None
+
+
 #: The invariant suite's configurations plus shapes only the oracle needs.
 ORACLE_CONFIGURATIONS = {
     **CONFIGURATIONS,
@@ -249,6 +339,12 @@ ORACLE_CONFIGURATIONS = {
         (MonolithicReplicaSpec(), MonolithicReplicaSpec())
     ),
     "cluster-split-crash-full": _crash_fleet((MonolithicReplicaSpec(), SplitReplicaSpec())),
+    "mono-chunked-full": _build_chunked_full,
+    "mono-one-token-outputs": _build_one_token_outputs,
+    "mono-prefix-hits": _build_prefix_hits,
+    "mono-straggler-windows": _build_straggler_windows,
+    "mono-warmup-edge": _build_warmup_edge,
+    "mono-sim-time-limit": _build_sim_time_limit,
 }
 
 
@@ -294,6 +390,7 @@ def _trajectory(report, engines):
     }
 
 
+@pytest.mark.columnar
 @pytest.mark.parametrize("config", sorted(ORACLE_CONFIGURATIONS))
 @given(spec_params=spec_strategy, seed=st.integers(min_value=0, max_value=2**16))
 def test_columnar_matches_scalar_oracle(config, spec_params, seed):
@@ -304,6 +401,7 @@ def test_columnar_matches_scalar_oracle(config, spec_params, seed):
     )
 
 
+@pytest.mark.columnar
 @pytest.mark.paging
 @pytest.mark.parametrize("policy", ["migrate", "recompute"])
 def test_columnar_matches_scalar_under_paging_pressure(policy):
@@ -330,15 +428,17 @@ def test_columnar_matches_scalar_under_paging_pressure(policy):
     )
 
 
-def test_scalar_path_prices_only_mixed_stages():
-    """A steady run re-arms straight from the batch at every membership change.
+@pytest.mark.columnar
+def test_scalar_path_prices_no_stage_on_a_warm_closed_loop():
+    """Every admission stage is priced as row 1 of the run it opens.
 
-    On a warm closed loop the only stages the scalar ``run_stage`` prices
-    are the mixed stages that admit a replacement request; the decode-only
-    stage after each one joins the next vectorized run.  Output lengths
-    are fixed so completions stay ``lout / batch`` stages apart: a run
-    shorter than two stages stays scalar by design.  The report matches
-    the scalar oracle exactly.
+    On a warm closed loop each completion frees one slot, and the stage
+    that admits the replacement opens the next steady decode run, so one
+    ``price_decode_run`` call prices both and the scalar ``run_stage``
+    prices nothing at all — not even at the stage budget's edge, where
+    the run is that stage alone.  Output lengths are fixed so completions
+    stay ``lout / batch`` stages apart.  The report matches the scalar
+    oracle exactly.
     """
     spec = WorkloadSpec(lin_mean=256, lout_mean=64, lin_cv=0.3, lout_cv=0.0)
     limits = SimulationLimits(max_stages=600, warmup_stages=0)
@@ -349,20 +449,28 @@ def test_scalar_path_prices_only_mixed_stages():
         )
         executor = sim.engine.executor
         price_stage = executor.run_stage
+        price_run = executor.price_decode_run
         mixed: list[bool] = []
+        opened = [0]
 
         def counting(workload):
             mixed.append(workload.is_mixed)
             return price_stage(workload)
 
-        executor.run_stage = counting
-        return sim.run(limits), mixed
+        def counting_runs(context_lengths, n_stages, first=None):
+            opened[0] += first is not None
+            return price_run(context_lengths, n_stages, first=first)
 
-    report, mixed = run(columnar=True)
-    oracle_report, oracle_mixed = run(columnar=False)
+        executor.run_stage = counting
+        executor.price_decode_run = counting_runs
+        return sim.run(limits), mixed, opened[0]
+
+    report, mixed, opened = run(columnar=True)
+    oracle_report, oracle_mixed, _ = run(columnar=False)
     assert report == oracle_report
     assert len(oracle_mixed) == 600
-    assert mixed == [True] * sum(oracle_mixed), "a decode-only stage took the scalar path"
+    assert mixed == [], "a stage took the scalar path"
+    assert opened == sum(oracle_mixed) > 60
 
 
 def _blocked_decode_stages(policy, columnar: bool):
@@ -391,6 +499,7 @@ def _blocked_decode_stages(policy, columnar: bool):
     return report, blocked[0]
 
 
+@pytest.mark.columnar
 @pytest.mark.parametrize("policy", ["fcfs", "slo-shedding"])
 def test_steady_runs_while_the_batch_is_full(policy):
     """A full batch with a waiting queue still takes vectorized runs.
@@ -416,6 +525,7 @@ def _progress(request: Request) -> tuple:
     return (request.request_id, request.state, request.context_len, request.tokens_generated)
 
 
+@pytest.mark.columnar
 def test_request_progress_is_never_stale_mid_run():
     """Reading a request mid-run agrees with the scalar oracle's objects.
 
