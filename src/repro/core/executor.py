@@ -1180,11 +1180,20 @@ class StageExecutor:
 
         Zero-count experts price to exact zeros.
         """
-        fields = self.math.expert_ffn_fields(tokens, self._expert_fraction)
-        xpu, pim = self._xpu, self._pim
-        return (
-            xpu.op_price(*fields) if xpu is not None else (0.0, 0.0, 0.0)
-        ) + (pim.op_price(*fields) if pim is not None else (0.0, 0.0, 0.0))
+        flops, bytes_read, bytes_written = self.math.expert_ffn_fields(
+            tokens, self._expert_fraction
+        )
+
+        def unit_price(unit: ProcessingUnit | None) -> tuple[float, float, float]:
+            if unit is None:
+                return (0.0, 0.0, 0.0)
+            return (
+                unit.op_time(flops, bytes_read, bytes_written),
+                unit.dram_energy(bytes_read, bytes_written),
+                unit.compute_energy(flops),
+            )
+
+        return unit_price(self._xpu) + unit_price(self._pim)
 
     def _charge_expert_prices(
         self, result: StageResult, prices: list[tuple], indices, offset: int, layers: int

@@ -112,28 +112,6 @@ class ProcessingUnit:
         busy = max(self.compute_time(flops), self.memory_time(bytes_read + bytes_written))
         return busy + self.launch_overhead_s
 
-    def op_price(
-        self, flops: float, bytes_read: float, bytes_written: float = 0.0
-    ) -> tuple[float, float, float]:
-        """(:meth:`op_time`, :meth:`dram_energy`, :meth:`compute_energy`)
-        of one operator in one unvalidated call — the same three floats,
-        for per-operator hot paths (one-off expert counts)."""
-        if flops == 0 and bytes_read == 0 and bytes_written == 0:
-            return 0.0, 0.0, 0.0
-        busy = max(
-            flops / (self.peak_flops * self.compute_efficiency),
-            (bytes_read + bytes_written) / self.mem_bandwidth,
-        )
-        return (
-            busy + self.launch_overhead_s,
-            (
-                bytes_read * 8.0 * self.read_energy_pj_per_bit
-                + bytes_written * 8.0 * self.write_energy_pj_per_bit
-            )
-            * PJ,
-            flops * self.flop_energy_pj * PJ,
-        )
-
     def op_times(
         self,
         flops: np.ndarray,

@@ -207,7 +207,7 @@ class LayerMath:
         flops = 0.0
         bytes_read = 0.0
         bytes_written = 0.0
-        for length, past in zip(lengths, contexts):
+        for length, past in zip(lengths, contexts, strict=True):
             if length < 0 or past < 0:
                 raise ConfigError("prefill lengths must be non-negative")
             if length == 0:

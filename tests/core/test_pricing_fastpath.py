@@ -10,9 +10,6 @@ randomized inputs far beyond what the goldens exercise:
   summed by a cumulative sum — an independent formulation);
 * :meth:`LayerMath.expert_ffn_arrays` vs per-expert :meth:`LayerMath.expert_ffn`;
 * :meth:`ProcessingUnit.op_times` / energy batches vs the scalar calls;
-* :meth:`LayerMath.expert_ffn_fields` + :meth:`ProcessingUnit.op_price`
-  (the uncached per-count price of one-off expert counts) vs the scalar
-  operator and its three unit calls;
 * :func:`assign_experts` (stable argsort + seeded cumulative sums, with the
   scalar small-count path) vs :func:`assign_experts_reference` (the
   original iterative greedy), with and without memory-space groups.
@@ -137,27 +134,6 @@ def test_op_time_and_energy_batches_match_scalar(counts, fraction, unit_key):
         assert times[i] == unit.op_time(float(flops[i]), float(bytes_read[i]), float(bytes_written[i]))
         assert dram[i] == unit.dram_energy(float(bytes_read[i]), float(bytes_written[i]))
         assert compute[i] == unit.compute_energy(float(flops[i]))
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    model_key=st.sampled_from(sorted(MODELS)),
-    counts=counts_strategy,
-    fraction=st.sampled_from(FRACTIONS),
-    unit_key=st.sampled_from(("xpu", "pim")),
-)
-def test_expert_fields_and_op_price_match_scalar_operators(model_key, counts, fraction, unit_key):
-    math = LayerMath(MODELS[model_key])
-    unit = h100_xpu() if unit_key == "xpu" else logic_pim_unit()
-    for tokens in counts:
-        op = math.expert_ffn(0, tokens, fraction)
-        fields = math.expert_ffn_fields(tokens, fraction)
-        assert fields == (op.flops, op.bytes_read, op.bytes_written)
-        assert unit.op_price(*fields) == (
-            unit.op_time(*fields),
-            unit.dram_energy(op.bytes_read, op.bytes_written),
-            unit.compute_energy(op.flops),
-        )
 
 
 @settings(max_examples=80, deadline=None)
